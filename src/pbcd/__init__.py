@@ -3,9 +3,10 @@
 Library layout:
 
 * blocks        -- partitions, incidence structure, step weights, norms
-* smooth        -- smooth component families (residual, logistic, dual)
-* regularizers  -- separable nonsmooth terms with closed-form prox maps
-* problem       -- assembled composite problems and evaluation
+* smooth        -- the smooth part as one sparse operator M with per-row
+                   families (residual, logistic, dual); component front end
+* regularizers  -- per-coordinate l1-plus-box terms with closed-form prox
+* problem       -- composite problems: one value, gradient and objective
 * sampling      -- random block-subset generation
 * solver        -- the sampled descent iteration and reference modes
 * analysis      -- rate bounds and generalized error bound diagnostics
@@ -28,7 +29,8 @@ from .errors import (CacheConsistencyError, DescentViolationError,
                      ErrorBoundWitnessError, InputError, InternalError,
                      StructureError)
 from .experiment import (ExperimentConfig, build_problem, load_config,
-                         reference_solution, run_experiment)
+                         reference_and_start, reference_solution, run_cell,
+                         run_experiment, write_trace)
 from .generators import (GeneratedProblem, dual_from_data, generate_dual,
                          generate_lasso, generate_logistic,
                          lasso_from_matrix, logistic_from_matrix)
@@ -38,10 +40,9 @@ from .problem import CompositeProblem, assemble_problem
 from .regularizers import (Box, L1, L1Box, NonnegOrthant, Zero, prox_block,
                            value_block)
 from .sampling import BlockSampler, SamplerConfig
-from .smooth import (LogisticLoss, QuadraticConjugateDual, QuadraticResidual,
-                     coordinatewise_constants, make_logistic,
-                     make_quadratic_conjugate_dual, make_quadratic_residual,
-                     spectral_norm_sq)
+from .smooth import (Component, SmoothOperator, coordinatewise_constants,
+                     make_logistic, make_quadratic_conjugate_dual,
+                     make_quadratic_residual, spectral_norm_sq)
 from .solver import (SolveResult, SolverConfig, SolverState, Trace,
                      coordwise_weights, init_solver_state, run, step,
                      verify_and_refresh_caches)

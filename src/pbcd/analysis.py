@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ErrorBoundWitnessError, InputError
-from .smooth import LogisticLoss, QuadraticConjugateDual, QuadraticResidual
+from .smooth import LOGISTIC
 
 
 @dataclass(frozen=True)
@@ -159,26 +159,20 @@ def estimate_strong_convexity(problem, tol=1e-12, max_iters=500):
     numerically singular (not strongly convex).
     """
     n = problem.n
-    hess = np.zeros((n, n))
-    for comp in problem.smooth:
-        if isinstance(comp, LogisticLoss):
-            raise InputError(
-                "strong convexity estimation supports quadratic smooth parts "
-                "only; supply the modulus for logistic problems")
-        if not isinstance(comp, (QuadraticResidual, QuadraticConjugateDual)):
-            raise InputError(f"unknown smooth component {type(comp).__name__}")
-    ops = problem._family_ops
-    if "qr" in ops:
-        mat, _ = ops["qr"]
-        dense = mat.toarray()
-        hess += dense.T @ dense
-    if "du" in ops:
-        mat, sig, _, _ = ops["du"]
-        dense = mat.toarray()
-        hess += dense.T @ (dense / sig[:, None])
-    scale = 1.0 / np.sqrt(problem.coord_weights)
-    m = hess * scale[:, None] * scale[None, :]
-    m = 0.5 * (m + m.T)
+    op = problem.smooth
+    if np.any(op.family == LOGISTIC):
+        raise InputError(
+            "strong convexity estimation supports quadratic smooth parts "
+            "only; supply the modulus for logistic problems")
+    # residual and dual rows both have phi'' = 1 / scale, so the normalized
+    # Hessian is B'B with B = diag(scale)^-1/2 M diag(w)^-1/2; building B
+    # and its Gram directly needs no separate Hessian or scaled copies
+    mat = op.matrix
+    dense = np.zeros(mat.shape)
+    dense[mat.indices, op.entry_cols] = mat.data / np.sqrt(
+        op.scale[mat.indices] * problem.coord_weights[op.entry_cols])
+    m = dense.T @ dense
+    del dense
     try:
         factor = scipy.linalg.cho_factor(m)
     except scipy.linalg.LinAlgError:

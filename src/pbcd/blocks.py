@@ -15,6 +15,14 @@ import numpy as np
 from .errors import InputError, StructureError
 
 
+def concat_ranges(starts, counts):
+    """Concatenation of arange(starts[k], starts[k] + counts[k]) over k."""
+    if counts.size == 0:
+        return np.zeros(0, np.int64)
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Partition of R^n into contiguous blocks.
@@ -56,6 +64,17 @@ class BlockPartition:
 
     def block(self, x, i):
         return x[self.offsets[i]:self.offsets[i + 1]]
+
+    @property
+    def block_of(self):
+        """Block index of every coordinate."""
+        return np.repeat(np.arange(self.num_blocks), self.block_sizes)
+
+    def coords(self, idx):
+        """Coordinates of the blocks in `idx`, block by block."""
+        if self.n == self.num_blocks:
+            return idx
+        return concat_ranges(self.offsets[idx], self.block_sizes[idx])
 
     def expand(self, per_block):
         """Repeat a per-block value across the coordinates of each block."""

@@ -20,10 +20,9 @@ from .analysis import (RateBundle, error_bound_chain, fit_error_bound_constants,
 from .errors import (CacheConsistencyError, DescentViolationError,
                      ErrorBoundWitnessError, InputError, StructureError)
 from .experiment import (ExperimentConfig, build_problem, load_config,
-                         reference_solution, run_experiment, write_csv)
+                         reference_and_start, reference_solution, run_cell,
+                         run_experiment, write_csv, write_trace)
 from .matrixio import save_matrix, save_vector
-from .sampling import SamplerConfig
-from .solver import SolverConfig, run
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -64,7 +63,6 @@ def _add_solve_flags(parser):
     parser.add_argument("--gap-rtol", type=float, dest="gap_rtol")
     parser.add_argument("--ref-tol", type=float, dest="ref_tol")
     parser.add_argument("--ref-max-iters", type=int, dest="ref_max_iters")
-    parser.add_argument("--solver-workers", type=int, dest="solver_workers")
     parser.add_argument("--cell-workers", type=int, dest="cell_workers")
     parser.add_argument("--outdir")
     parser.add_argument("--trace-stride", type=int, dest="trace_stride")
@@ -79,7 +77,7 @@ def _experiment_config(args):
                  "block_size", "lam", "box_lb", "box_ub", "noise",
                  "problem_seed", "matrix_path", "rhs_path", "scheme",
                  "max_iters", "gap_rtol", "ref_tol", "ref_max_iters",
-                 "solver_workers", "cell_workers", "outdir", "trace_stride"):
+                 "cell_workers", "outdir", "trace_stride"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
@@ -119,36 +117,15 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     cfg = _experiment_config(args)
-    gen = build_problem(cfg)
-    problem = gen.problem
-    _, fstar, ref_ok = reference_solution(problem, tol=cfg.ref_tol,
-                                          max_iters=cfg.ref_max_iters)
-    x0 = problem.project_domain(np.zeros(problem.n))
-    gap0 = problem.objective(x0) - fstar
-    batch = cfg.batch_sizes[0]
-    mode = cfg.modes[0]
-    seed = cfg.seeds[0]
-    scfg = SolverConfig(
-        mode=mode,
-        sampler=None if mode == "full"
-        else SamplerConfig(batch_size=batch, scheme=cfg.scheme, seed=seed),
-        max_iters=cfg.max_iters, eps_gap=cfg.gap_rtol * max(gap0, 1e-300),
-        fstar=fstar, workers=cfg.solver_workers,
-        trace_stride=cfg.trace_stride,
-        trace_mapping_norm=cfg.trace_mapping_norm)
-    res = run(problem, scfg, x0)
+    problem = build_problem(cfg).problem
+    base = reference_and_start(problem, cfg)
+    mode, batch, seed = cfg.modes[0], cfg.batch_sizes[0], cfg.seeds[0]
+    cell = run_cell(problem, cfg, base, mode, batch, seed)
     os.makedirs(cfg.outdir, exist_ok=True)
-    path = os.path.join(cfg.outdir, f"trace_{mode}_b{batch}_s{seed}.csv")
-    eff = problem.num_blocks if mode == "full" else batch
-    rows = [(k, k * eff / problem.n, f - fstar, g, s, el)
-            for k, f, g, s, el in zip(res.trace.ks, res.trace.objectives,
-                                      res.trace.mapping_norms,
-                                      res.trace.batch_sizes, res.trace.elapsed)]
-    write_csv(path, ("k", "updates_per_dim", "gap", "mapping_norm", "batch",
-                     "elapsed_s"), rows)
-    print(f"reference optimum: {fstar!r} (converged: {ref_ok})")
-    print(f"mode {mode}, batch {batch}, seed {seed}: {res.status} after "
-          f"{res.iterations} iterations, gap {float(res.objective - fstar)!r}")
+    path = write_trace(cfg.outdir, problem, cell, base.fstar)
+    print(f"reference optimum: {base.fstar!r} (converged: {base.converged})")
+    print(f"mode {mode}, batch {batch}, seed {seed}: {cell.status} after "
+          f"{cell.iterations} iterations, gap {float(cell.final_gap)!r}")
     print(f"trace: {path}")
     return EXIT_OK
 

@@ -56,7 +56,6 @@ class ExperimentConfig:
     gap_rtol: float = 1e-4         # stop when F - F* <= gap_rtol * initial gap
     ref_tol: float = 1e-10
     ref_max_iters: int = 500000
-    solver_workers: int = 1
     cell_workers: int = 1
     trace_stride: int = 1
     outdir: str = "out"
@@ -104,9 +103,9 @@ def build_problem(cfg):
 def reference_solution(problem, tol=1e-10, max_iters=500000, x0=None):
     """Deterministic full proximal-gradient solve to a tight mapping norm.
 
-    Returns (x*, F*, converged).  Uses the vectorized full-step path; each
-    iteration's candidate doubles as the next iterate so the mapping norm is
-    a free byproduct.
+    Returns (x*, F*, converged).  Each iteration's candidate doubles as the
+    next iterate, so the mapping norm is a free byproduct.  F* comes from
+    problem.objective, the same function the solver starts from.
     """
     x = problem.project_domain(np.zeros(problem.n) if x0 is None
                                else np.asarray(x0, float))
@@ -119,8 +118,7 @@ def reference_solution(problem, tol=1e-10, max_iters=500000, x0=None):
         if np.sqrt(float((cw * gap) @ gap)) <= tol:
             converged = True
             break
-    fstar = problem.smooth_value_fast(x) + problem.reg_value(x)
-    return x, float(fstar), converged
+    return x, float(problem.objective(x)), converged
 
 
 @dataclass
@@ -161,73 +159,100 @@ def write_csv(path, header, rows):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+@dataclass
+class Baseline:
+    """Reference solve and starting point shared by every cell of a run."""
+
+    x0: np.ndarray
+    xstar: np.ndarray
+    fstar: float
+    converged: bool
+    initial_gap: float
+    gap_tol: float
+
+
+def reference_and_start(problem, cfg):
+    """Reference optimum, the projected zero start and the gap tolerance
+    gap_rtol * (F(x0) - F*) that stops every cell."""
+    xstar, fstar, ok = reference_solution(problem, tol=cfg.ref_tol,
+                                          max_iters=cfg.ref_max_iters)
+    x0 = problem.project_domain(np.zeros(problem.n))
+    initial_gap = problem.objective(x0) - fstar
+    return Baseline(x0=x0, xstar=xstar, fstar=fstar, converged=ok,
+                    initial_gap=initial_gap,
+                    gap_tol=cfg.gap_rtol * max(initial_gap, 1e-300))
+
+
+def run_cell(problem, cfg, base, mode, batch, seed):
+    """Solve one (mode, batch size, seed) cell to the baseline's gap tolerance."""
+    scfg = SolverConfig(
+        mode=mode,
+        sampler=None if mode == "full"
+        else SamplerConfig(batch_size=batch, scheme=cfg.scheme, seed=seed),
+        max_iters=cfg.max_iters, eps_gap=base.gap_tol, fstar=base.fstar,
+        trace_stride=cfg.trace_stride,
+        trace_mapping_norm=cfg.trace_mapping_norm)
+    res = run(problem, scfg, base.x0)
+    return CellResult(mode=mode, batch_size=batch, seed=seed,
+                      iterations=res.iterations,
+                      coordinate_updates=res.coordinate_updates,
+                      converged=res.converged, status=res.status,
+                      final_gap=res.objective - base.fstar, trace=res.trace)
+
+
+def write_trace(outdir, problem, cell, fstar):
+    """Write a cell's trace CSV; updates_per_dim counts block updates per
+    block, which is coordinate updates per coordinate for uniform blocks."""
+    name = f"trace_{cell.mode}_b{cell.batch_size}_s{cell.seed}.csv"
+    path = os.path.join(outdir, name)
+    eff = problem.num_blocks if cell.mode == "full" else cell.batch_size
+    tr = cell.trace
+    rows = [(k, k * eff / problem.num_blocks, f - fstar, g, s, el)
+            for k, f, g, s, el in zip(tr.ks, tr.objectives, tr.mapping_norms,
+                                      tr.batch_sizes, tr.elapsed)]
+    write_csv(path, ("k", "updates_per_dim", "gap", "mapping_norm", "batch",
+                     "elapsed_s"), rows)
+    return path
+
+
 def run_experiment(cfg):
     """Run the full comparison grid for one problem; returns the result and
     writes CSV outputs under cfg.outdir."""
     for mode in cfg.modes:
         if mode not in ("rcd", "rcd-coordwise", "full"):
             raise InputError(f"unknown mode {mode!r}")
+    raw = os.environ.get(WORKERS_ENV)
+    try:
+        cell_workers = cfg.cell_workers if raw is None else int(raw)
+    except ValueError:
+        raise InputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     gen = build_problem(cfg)
     problem = gen.problem
     for batch in cfg.batch_sizes:
         if not 1 <= batch <= problem.num_blocks:
             raise InputError(f"batch size {batch} outside [1, {problem.num_blocks}]")
-    xstar, fstar, ref_ok = reference_solution(problem, tol=cfg.ref_tol,
-                                              max_iters=cfg.ref_max_iters)
-    x0 = problem.project_domain(np.zeros(problem.n))
-    initial_gap = problem.objective(x0) - fstar
-    gap_tol = cfg.gap_rtol * max(initial_gap, 1e-300)
-
+    base = reference_and_start(problem, cfg)
     cell_specs = [(mode, batch, seed) for mode in cfg.modes
                   for batch in cfg.batch_sizes for seed in cfg.seeds]
 
-    def run_cell(spec):
-        mode, batch, seed = spec
-        scfg = SolverConfig(
-            mode=mode,
-            sampler=None if mode == "full"
-            else SamplerConfig(batch_size=batch, scheme=cfg.scheme, seed=seed),
-            max_iters=cfg.max_iters, eps_gap=gap_tol, fstar=fstar,
-            workers=cfg.solver_workers, trace_stride=cfg.trace_stride,
-            trace_mapping_norm=cfg.trace_mapping_norm)
-        res = run(problem, scfg, x0)
-        return CellResult(mode=mode, batch_size=batch, seed=seed,
-                          iterations=res.iterations,
-                          coordinate_updates=res.coordinate_updates,
-                          converged=res.converged, status=res.status,
-                          final_gap=res.objective - fstar, trace=res.trace)
-
-    cell_workers = int(os.environ.get(WORKERS_ENV, cfg.cell_workers))
     if cell_workers > 1:
         with ThreadPoolExecutor(max_workers=cell_workers) as pool:
-            cells = list(pool.map(run_cell, cell_specs))
+            cells = list(pool.map(lambda spec: run_cell(problem, cfg, base, *spec),
+                                  cell_specs))
     else:
-        cells = [run_cell(s) for s in cell_specs]
+        cells = [run_cell(problem, cfg, base, *spec) for spec in cell_specs]
 
     os.makedirs(cfg.outdir, exist_ok=True)
     files = []
     if cfg.write_traces:
-        for cell in cells:
-            name = f"trace_{cell.mode}_b{cell.batch_size}_s{cell.seed}.csv"
-            path = os.path.join(cfg.outdir, name)
-            eff_batch = problem.num_blocks if cell.mode == "full" \
-                else cell.batch_size
-            rows = []
-            for k, f, g, s, el in zip(cell.trace.ks, cell.trace.objectives,
-                                      cell.trace.mapping_norms,
-                                      cell.trace.batch_sizes,
-                                      cell.trace.elapsed):
-                rows.append((k, (k * eff_batch) / problem.n,
-                             f - fstar, g, s, el))
-            write_csv(path, ("k", "updates_per_dim", "gap", "mapping_norm",
-                             "batch", "elapsed_s"), rows)
-            files.append(path)
+        files = [write_trace(cfg.outdir, problem, cell, base.fstar)
+                 for cell in cells]
 
     # theoretical sublinear envelopes per batch size, on the trace grid
-    radius = problem.norm_w(x0 - xstar)
+    radius = problem.norm_w(base.x0 - base.xstar)
     for batch in cfg.batch_sizes:
         bundle = RateBundle(num_blocks=problem.num_blocks, batch_size=batch,
-                            radius=radius, initial_gap=max(initial_gap, 0.0))
+                            radius=radius, initial_gap=max(base.initial_gap, 0.0))
         ks = sorted({k for c in cells if c.batch_size == batch
                      for k in c.trace.ks})
         rows = [(k, sublinear_gap_bound(bundle, k)) for k in ks]
@@ -242,13 +267,13 @@ def run_experiment(cfg):
             "n": problem.n, "m": gen.matrix.rows, "sparsity": density,
             "max_components_per_block": gen.max_components_per_block,
             "max_blocks_per_component": gen.max_blocks_per_component,
-            "batch_size": batch, "fstar": fstar,
+            "batch_size": batch, "fstar": base.fstar,
         }
         for mode in cfg.modes:
             sel = [c for c in cells if c.mode == mode and c.batch_size == batch]
             mean_updates = float(np.mean([c.coordinate_updates for c in sel]))
             row[f"updates_per_dim_{mode.replace('-', '_')}"] = \
-                mean_updates / problem.n
+                mean_updates / problem.num_blocks
             row[f"converged_{mode.replace('-', '_')}"] = \
                 all(c.converged for c in sel)
         summary_rows.append(row)
@@ -257,8 +282,9 @@ def run_experiment(cfg):
     write_csv(path, header, [tuple(r[h] for h in header) for r in summary_rows])
     files.append(path)
 
-    return ExperimentResult(config=cfg, problem=problem, fstar=fstar,
-                            ref_converged=ref_ok, initial_gap=initial_gap,
+    return ExperimentResult(config=cfg, problem=problem, fstar=base.fstar,
+                            ref_converged=base.converged,
+                            initial_gap=base.initial_gap,
                             cells=cells, summary_rows=summary_rows, files=files)
 
 
@@ -269,18 +295,19 @@ _SECTIONS = {
                 "block_size", "lam", "box_lb", "box_ub", "noise",
                 "problem_seed", "matrix_path", "rhs_path"),
     "solve": ("seeds", "modes", "batch_sizes", "scheme", "max_iters",
-              "gap_rtol", "ref_tol", "ref_max_iters", "solver_workers",
-              "cell_workers"),
+              "gap_rtol", "ref_tol", "ref_max_iters", "cell_workers"),
     "output": ("outdir", "trace_stride", "write_traces",
                "trace_mapping_norm"),
 }
 
 _INT_FIELDS = {"m", "n", "num_samples", "num_parts", "block_size",
-               "problem_seed", "max_iters", "ref_max_iters", "solver_workers",
-               "cell_workers", "trace_stride"}
+               "problem_seed", "max_iters", "ref_max_iters", "cell_workers",
+               "trace_stride"}
 _FLOAT_FIELDS = {"sparsity", "lam", "box_lb", "box_ub", "noise", "gap_rtol",
                  "ref_tol"}
 _BOOL_FIELDS = {"write_traces", "trace_mapping_norm"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _LIST_INT_FIELDS = {"seeds", "batch_sizes"}
 _LIST_STR_FIELDS = {"modes"}
 
@@ -316,7 +343,9 @@ def _parse_field(key, raw, path="<config>"):
         if key in _FLOAT_FIELDS:
             return float(raw)
         if key in _BOOL_FIELDS:
-            return raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() in _BOOL_WORDS:
+                return _BOOL_WORDS[raw.lower()]
+            raise ValueError(f"{raw!r} is not one of {', '.join(_BOOL_WORDS)}")
         if key in _LIST_INT_FIELDS:
             return tuple(int(v) for v in raw.split(",") if v.strip())
         if key in _LIST_STR_FIELDS:

@@ -4,7 +4,8 @@ Generators produce reproducible random instances of the three supported
 problem shapes (constrained lasso, sparse logistic regression, and the dual
 of a linearly constrained strongly convex quadratic primal) together with
 the realized separability measures.  Builders turn coordinate-format data
-into assembled problems, so generated and loaded instances share one path.
+straight into the smooth operator and regularizer arrays of a problem, so
+generated and loaded instances share one path.
 """
 
 from dataclasses import dataclass
@@ -14,10 +15,8 @@ import numpy as np
 from .blocks import BlockPartition
 from .errors import InputError
 from .matrixio import MatrixFile
-from .problem import assemble_problem
-from .regularizers import L1, L1Box, NonnegOrthant, Zero
-from .smooth import (make_logistic, make_quadratic_conjugate_dual,
-                     make_quadratic_residual)
+from .problem import CompositeProblem
+from .smooth import DUAL, LOGISTIC, RESIDUAL, SmoothOperator
 
 
 @dataclass
@@ -32,12 +31,6 @@ class GeneratedProblem:
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _blocks_for_columns(partition, cols):
-    """Map sorted column indices to (block ids, per-block coefficient slots)."""
-    ids = np.searchsorted(partition.offsets, cols, side="right") - 1
-    return ids
 
 
 def _row_support(rng, n, sparsity):
@@ -63,39 +56,33 @@ def _touch_isolated_columns(rng, rows, cols, vals, m, n):
         vals.append(float(rng.normal()))
 
 
+def _row_problem(mat, family, param, scale, block_size, lam, lb=-np.inf,
+                 ub=np.inf):
+    """One smooth component per data row, read straight from the entries."""
+    empty = np.flatnonzero(np.bincount(mat.row_idx, minlength=mat.rows) == 0)
+    if empty.size:
+        raise InputError(f"row {empty[0] + 1} of the data matrix is all zero; "
+                         "drop empty rows before building the problem")
+    rows = np.arange(mat.rows)
+    op = SmoothOperator.from_entries(
+        mat.cols, mat.row_idx, mat.col_idx, mat.values,
+        np.full(mat.rows, family), param, np.full(mat.rows, float(scale)), rows)
+    return CompositeProblem(BlockPartition.uniform(mat.cols, block_size), op,
+                            lam, lb, ub)
+
+
 def lasso_from_matrix(mat, rhs, lam, box=None, block_size=1):
     """Constrained lasso problem from a data matrix and observation vector.
 
-    Rows with no nonzero entry are rejected; drop them during ingestion.
-    box is None or a (lb, ub) pair applied to every block.
+    Rows with no entry are rejected; drop them during ingestion.
+    box is None or a (lb, ub) pair applied to every coordinate.
     """
     rhs = np.asarray(rhs, float)
     if rhs.shape != (mat.rows,):
         raise InputError(f"need one observation per row ({mat.rows}), "
                          f"got {rhs.shape}")
-    partition = BlockPartition.uniform(mat.cols, block_size)
-    smooth = []
-    for j, entries in enumerate(mat.row_entries()):
-        if not entries:
-            raise InputError(f"row {j + 1} of the data matrix is all zero; "
-                             "drop empty rows before building the problem")
-        cols = np.array([c for c, _ in entries])
-        vals = np.array([v for _, v in entries])
-        ids = _blocks_for_columns(partition, cols)
-        blocks = np.unique(ids)
-        coeffs = []
-        for b in blocks:
-            coef = np.zeros(int(partition.block_sizes[b]))
-            sel = ids == b
-            coef[cols[sel] - partition.offsets[b]] = vals[sel]
-            coeffs.append(coef)
-        smooth.append(make_quadratic_residual(blocks, coeffs, rhs[j]))
-    if box is None:
-        regs = [L1(lam) if lam > 0 else Zero()] * partition.num_blocks
-    else:
-        lb, ub = box
-        regs = [L1Box(lam, lb, ub)] * partition.num_blocks
-    return assemble_problem(partition, smooth, regs)
+    lb, ub = (-np.inf, np.inf) if box is None else box
+    return _row_problem(mat, RESIDUAL, rhs, 1.0, block_size, lam, lb, ub)
 
 
 def generate_lasso(m, n, sparsity, lam=1.0, box=None, seed=0, block_size=1,
@@ -141,25 +128,8 @@ def logistic_from_matrix(mat, labels, lam, num_samples=None, block_size=1):
     labels = np.asarray(labels)
     if labels.shape != (mat.rows,):
         raise InputError("need one label per sample row")
-    partition = BlockPartition.uniform(mat.cols, block_size)
-    nbar = num_samples or mat.rows
-    smooth = []
-    for j, entries in enumerate(mat.row_entries()):
-        if not entries:
-            raise InputError(f"sample row {j + 1} is all zero; drop it first")
-        cols = np.array([c for c, _ in entries])
-        vals = np.array([v for _, v in entries])
-        ids = _blocks_for_columns(partition, cols)
-        blocks = np.unique(ids)
-        coeffs = []
-        for b in blocks:
-            coef = np.zeros(int(partition.block_sizes[b]))
-            sel = ids == b
-            coef[cols[sel] - partition.offsets[b]] = vals[sel]
-            coeffs.append(coef)
-        smooth.append(make_logistic(blocks, coeffs, int(labels[j]), nbar))
-    regs = [L1(lam) if lam > 0 else Zero()] * partition.num_blocks
-    return assemble_problem(partition, smooth, regs)
+    return _row_problem(mat, LOGISTIC, labels, num_samples or mat.rows,
+                        block_size, lam)
 
 
 def generate_logistic(num_samples, n, sparsity, lam=0.1, seed=0, block_size=1,
@@ -205,10 +175,9 @@ def dual_from_data(mat, rhs, sigmas, centers, block_size=1):
     `mat` is the constraint matrix A in coordinate form; its columns are
     grouped into one column block per primal part, with widths given by the
     center vectors.  The dual variable (the multiplier) lives in the
-    nonnegative orthant, partitioned into blocks of `block_size`.  Each
-    dual block's share of the constraint right-hand side is carried by the
-    first component touching it, so the per-component linear terms tile
-    <x, rhs> exactly.
+    nonnegative orthant, partitioned into blocks of `block_size`.  The
+    smooth operator is A' (one row per primal coordinate, one component per
+    part) and the linear term is <x, rhs>.
     """
     sigmas = np.asarray(sigmas, float)
     centers = [np.atleast_1d(np.asarray(c, float)) for c in centers]
@@ -220,42 +189,24 @@ def dual_from_data(mat, rhs, sigmas, centers, block_size=1):
     widths = [c.size for c in centers]
     if sum(widths) != mat.cols:
         raise InputError("primal part widths must tile the matrix columns")
+    if not np.all(sigmas > 0.0):
+        raise InputError("strong convexity parameter sigma must be > 0")
+    part_of = np.repeat(np.arange(len(widths)), widths)
+    nz = mat.values != 0.0
+    rows, cols, vals = mat.col_idx[nz], mat.row_idx[nz], mat.values[nz]
+    empty = np.flatnonzero(np.bincount(part_of[rows], minlength=len(widths)) == 0)
+    if empty.size:
+        raise InputError(f"primal part {empty[0]} has an all-zero column block; "
+                         "drop it before building the dual")
     partition = BlockPartition.uniform(mat.rows, block_size)
-    dense = mat.to_dense()
-    col0 = 0
-    smooth = []
-    # rhs shares: each block's rhs is carried by the first component that
-    # touches it, so the linear terms tile <x, rhs> exactly
-    rhs_owner = {}
-    specs = []
-    for j, width in enumerate(widths):
-        colblock = dense[:, col0:col0 + width]
-        col0 += width
-        touched = []
-        for i in range(partition.num_blocks):
-            sl = partition.slice(i)
-            if np.any(colblock[sl] != 0.0):
-                touched.append(i)
-        if not touched:
-            raise InputError(f"primal part {j} has an all-zero column block; "
-                             "drop it before building the dual")
-        specs.append((j, touched, colblock))
-        for i in touched:
-            rhs_owner.setdefault(i, j)
-    unowned = [i for i in range(partition.num_blocks) if i not in rhs_owner]
-    if unowned:
+    unowned = np.setdiff1d(np.arange(partition.num_blocks),
+                           partition.block_of[cols])
+    if unowned.size:
         raise InputError(f"constraint block {unowned[0]} touches no primal part")
-    for j, touched, colblock in specs:
-        mats, shares = [], []
-        for i in touched:
-            sl = partition.slice(i)
-            mats.append(colblock[sl])
-            shares.append(rhs[sl] if rhs_owner[i] == j
-                          else np.zeros(sl.stop - sl.start))
-        smooth.append(make_quadratic_conjugate_dual(
-            touched, mats, float(sigmas[j]), centers[j], shares))
-    regs = [NonnegOrthant()] * partition.num_blocks
-    return assemble_problem(partition, smooth, regs)
+    op = SmoothOperator.from_entries(
+        mat.rows, rows, cols, vals, np.full(mat.cols, DUAL),
+        np.concatenate(centers), sigmas[part_of], part_of, lin=rhs)
+    return CompositeProblem(partition, op, lb=0.0)
 
 
 def generate_dual(num_parts, seed=0, block_size=1, coupling_scale=1.0,

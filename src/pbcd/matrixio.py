@@ -45,15 +45,6 @@ class MatrixFile:
         out[self.row_idx, self.col_idx] = self.values
         return out
 
-    def row_entries(self):
-        """Per-row lists of (column, value), columns ascending."""
-        entries = [[] for _ in range(self.rows)]
-        order = np.lexsort((self.col_idx, self.row_idx))
-        for k in order:
-            entries[self.row_idx[k]].append((int(self.col_idx[k]),
-                                             float(self.values[k])))
-        return entries
-
 
 def load_matrix(path):
     """Parse a coordinate-format matrix file; errors carry line numbers."""

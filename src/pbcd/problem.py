@@ -1,6 +1,12 @@
 """Composite problem: partially separable smooth part plus separable regularizer.
 
-F(x) = sum_j f_j(x restricted to the blocks of j) + sum_i psi_i(x_i).
+F(x) = sum_r phi_r((M x)_r) + <lin, x> + sum_c psi_c(x_c),
+
+with the smooth part stored as one sparse operator (see pbcd.smooth) and the
+regularizer as three per-coordinate arrays lam, lb, ub (see
+pbcd.regularizers).  Value, gradient, partial gradient and objective each
+have one implementation here, shared by the solver, the reference solve and
+the diagnostics.
 
 The object is immutable after construction and all evaluation methods are
 read-only, so one instance can be shared freely across threads.
@@ -9,13 +15,12 @@ read-only, so one instance can be shared freely across threads.
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import regularizers as reg
 from .blocks import (BlockWeights, build_structure, compute_block_weights,
                      weighted_norm, weighted_norm_inv)
 from .errors import InputError
-from .smooth import LogisticLoss, QuadraticConjugateDual, QuadraticResidual
+from .smooth import SmoothOperator
 
 
 def _check_finite(x, n):
@@ -33,10 +38,8 @@ class CompositeProblem:
     Parameters
     ----------
     partition : BlockPartition
-    structure : BipartiteStructure
-        Must match the block lists stored on the smooth components.
-    smooth : sequence of smooth components (see pbcd.smooth)
-    regs : sequence of per-block regularizers (see pbcd.regularizers)
+    smooth : SmoothOperator over the partition's n coordinates
+    lam, lb, ub : per-coordinate l1 weights and box bounds (scalars broadcast)
     weights : BlockWeights or array, optional
         Override for the per-block step weights.  By default the weights
         aggregate the component Lipschitz constants (w_i = sum of the
@@ -45,35 +48,31 @@ class CompositeProblem:
         descent inequality is known to hold.
     """
 
-    def __init__(self, partition, structure, smooth, regs, weights=None):
-        if structure.num_blocks != partition.num_blocks:
-            raise InputError("structure and partition disagree on block count")
-        if len(smooth) != structure.num_components:
-            raise InputError("need exactly one smooth component per structure component")
-        if len(regs) != partition.num_blocks:
-            raise InputError("need exactly one regularizer per block")
-        for j, comp in enumerate(smooth):
-            if not np.array_equal(comp.blocks, structure.blocks_of[j]):
-                raise InputError(f"component {j} block list disagrees with structure")
-            sizes = partition.block_sizes[comp.blocks]
-            parts = comp.mats if isinstance(comp, QuadraticConjugateDual) else comp.coeffs
-            for t, p in enumerate(parts):
-                if p.shape[0] != sizes[t]:
-                    raise InputError(
-                        f"component {j}: coefficient part {t} has "
-                        f"{p.shape[0]} rows, block has size {sizes[t]}")
+    def __init__(self, partition, smooth, lam=0.0, lb=-np.inf, ub=np.inf,
+                 weights=None):
+        n, nb = partition.n, partition.num_blocks
+        if smooth.matrix.shape[1] != n:
+            raise InputError("smooth operator and partition disagree on dimension")
+        lam, lb, ub = (np.broadcast_to(np.asarray(a, dtype=float), (n,)).copy()
+                       for a in (lam, lb, ub))
+        if not np.all(lam >= 0.0):
+            raise InputError("l1 weight must be >= 0")
+        if np.any(lb > ub):
+            raise InputError("box lower bound exceeds upper bound")
         self.partition = partition
-        self.structure = structure
-        self.smooth = tuple(smooth)
-        self.regs = tuple(regs)
+        self.smooth = smooth
+        self.lam, self.lb, self.ub = lam, lb, ub
+        pairs = np.unique(smooth.component[smooth.matrix.indices] * nb
+                          + partition.block_of[smooth.entry_cols])
+        self.structure = build_structure(zip(pairs // nb, pairs % nb), nb,
+                                         smooth.num_components)
         if weights is None:
-            self.weights = compute_block_weights(
-                structure, [c.lipschitz for c in smooth])
+            self.weights = compute_block_weights(self.structure, smooth.lipschitz)
             self.weights_overridden = False
         else:
             diag = weights.diag if isinstance(weights, BlockWeights) else \
                 np.asarray(weights, dtype=float)
-            if diag.shape != (partition.num_blocks,):
+            if diag.shape != (nb,):
                 raise InputError("weight override needs one value per block")
             if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
                 raise InputError("weight override entries must be positive and finite")
@@ -98,42 +97,41 @@ class CompositeProblem:
     def coord_weights(self):
         return self.partition.expand(self.weights.diag)
 
-    @cached_property
-    def block_touch(self):
-        """For each block i, the list of (component j, local position t)."""
-        touch = [[] for _ in range(self.num_blocks)]
-        for j, comp in enumerate(self.smooth):
-            for t, i in enumerate(comp.blocks):
-                touch[int(i)].append((j, t))
-        return tuple(tuple(t) for t in touch)
-
-    @cached_property
-    def coordinate_reg_params(self):
-        """(lam, lb, ub) per coordinate; every kind is l1-plus-box."""
-        lams, lbs, ubs = [], [], []
-        for i, spec in enumerate(self.regs):
-            lam, lb, ub = reg.coordinate_params(spec, int(self.partition.block_sizes[i]))
-            lams.append(lam)
-            lbs.append(lb)
-            ubs.append(ub)
-        return np.concatenate(lams), np.concatenate(lbs), np.concatenate(ubs)
-
     # -- evaluation ---------------------------------------------------------
 
-    def _parts(self, x, comp):
-        return [self.partition.block(x, i) for i in comp.blocks]
-
     def smooth_value(self, x):
-        return float(sum(c.value(self._parts(x, c)) for c in self.smooth))
+        x = np.asarray(x, dtype=float)
+        op = self.smooth
+        return float(np.sum(op.values(op.matrix @ x))) + float(op.lin @ x)
+
+    def smooth_gradient(self, x):
+        """Full gradient M' phi'(M x) + lin of the smooth part."""
+        x = np.asarray(x, dtype=float)
+        op = self.smooth
+        return op.transpose @ op.derivs(op.matrix @ x) + op.lin
+
+    def columns_gradient(self, z, cols):
+        """Gradient entries at the coordinates `cols`, from the row values z = M x.
+
+        Returns the gradient with the rows, values and local column ids of
+        the entries read, which the sampled step reuses.
+        """
+        op = self.smooth
+        rows, vals, local = op.columns(cols)
+        g = np.bincount(local, weights=vals * op.derivs(z[rows], rows),
+                        minlength=cols.size)
+        return g + op.lin[cols], rows, vals, local
+
+    def partial_gradient(self, x, i):
+        """Gradient of the smooth part restricted to block i."""
+        x = _check_finite(x, self.n)
+        if not 0 <= i < self.num_blocks:
+            raise InputError(f"block index {i} out of range")
+        cols = self.partition.coords(np.array([i]))
+        return self.columns_gradient(self.smooth.matrix @ x, cols)[0]
 
     def reg_value(self, x):
-        total = 0.0
-        for i, spec in enumerate(self.regs):
-            v = reg.value_block(spec, self.partition.block(x, i))
-            if v == np.inf:
-                return np.inf
-            total += v
-        return total
+        return reg.value(np.asarray(x, dtype=float), self.lam, self.lb, self.ub)
 
     def objective(self, x):
         """F(x); +inf when an indicator constraint is violated."""
@@ -143,123 +141,11 @@ class CompositeProblem:
             return np.inf
         return self.smooth_value(x) + psi
 
-    def partial_gradient(self, x, i):
-        """Gradient of the smooth part restricted to block i."""
-        x = _check_finite(x, self.n)
-        if not 0 <= i < self.num_blocks:
-            raise InputError(f"block index {i} out of range")
-        g = np.zeros(int(self.partition.block_sizes[i]))
-        for j, t in self.block_touch[i]:
-            comp = self.smooth[j]
-            g += comp.grad_block_from_state(comp.init_state(self._parts(x, comp)), t)
-        return g
-
-    def full_gradient(self, x):
-        """Concatenation of the per-block partial gradients."""
-        return np.concatenate(
-            [self.partial_gradient(x, i) for i in range(self.num_blocks)])
-
-    # -- vectorized fast paths ---------------------------------------------
-
-    @cached_property
-    def _family_ops(self):
-        """Aggregated sparse operators per family for fast full-vector math."""
-        ops = {}
-        qr = [c for c in self.smooth if isinstance(c, QuadraticResidual)]
-        if qr:
-            rows, cols, vals = [], [], []
-            for r, comp in enumerate(qr):
-                for t, i in enumerate(comp.blocks):
-                    sl = self.partition.slice(i)
-                    idx = np.arange(sl.start, sl.stop)
-                    rows.extend([r] * idx.size)
-                    cols.extend(idx.tolist())
-                    vals.extend(comp.coeffs[t].tolist())
-            mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(qr), self.n))
-            ops["qr"] = (mat, np.array([c.rhs for c in qr]))
-        lg = [c for c in self.smooth if isinstance(c, LogisticLoss)]
-        if lg:
-            rows, cols, vals = [], [], []
-            for r, comp in enumerate(lg):
-                for t, i in enumerate(comp.blocks):
-                    sl = self.partition.slice(i)
-                    idx = np.arange(sl.start, sl.stop)
-                    rows.extend([r] * idx.size)
-                    cols.extend(idx.tolist())
-                    vals.extend(comp.coeffs[t].tolist())
-            mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(lg), self.n))
-            labels = np.array([c.label for c in lg], dtype=float)
-            scale = np.array([1.0 / c.num_samples for c in lg])
-            ops["lg"] = (mat, labels, scale)
-        du = [c for c in self.smooth if isinstance(c, QuadraticConjugateDual)]
-        if du:
-            rows, cols, vals = [], [], []
-            col0 = 0
-            sig, cen = [], []
-            rhs_full = np.zeros(self.n)
-            for comp in du:
-                for t, i in enumerate(comp.blocks):
-                    sl = self.partition.slice(i)
-                    m = comp.mats[t]
-                    for k in range(comp.inner_dim):
-                        col = np.nonzero(m[:, k])[0]
-                        rows.extend([col0 + k] * col.size)
-                        cols.extend((sl.start + col).tolist())
-                        vals.extend(m[col, k].tolist())
-                    rhs_full[sl] += comp.rhs_parts[t]
-                sig.extend([comp.sigma] * comp.inner_dim)
-                cen.extend(comp.center.tolist())
-                col0 += comp.inner_dim
-            mat = sp.csr_matrix((vals, (rows, cols)), shape=(col0, self.n))
-            ops["du"] = (mat, np.array(sig), np.array(cen), rhs_full)
-        return ops
-
-    def smooth_gradient(self, x):
-        """Full gradient of the smooth part (vectorized).
-
-        Agrees with full_gradient up to floating-point summation order.
-        """
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(self.n)
-        ops = self._family_ops
-        if "qr" in ops:
-            mat, rhs = ops["qr"]
-            g += mat.T @ (mat @ x - rhs)
-        if "lg" in ops:
-            from scipy.special import expit
-            mat, labels, scale = ops["lg"]
-            z = mat @ x
-            g += mat.T @ (-labels * expit(-labels * z) * scale)
-        if "du" in ops:
-            mat, sig, cen, rhs_full = ops["du"]
-            z = mat @ x
-            g += mat.T @ (z / sig - cen) + rhs_full
-        return g
-
-    def smooth_value_fast(self, x):
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        ops = self._family_ops
-        if "qr" in ops:
-            mat, rhs = ops["qr"]
-            r = mat @ x - rhs
-            total += 0.5 * float(r @ r)
-        if "lg" in ops:
-            mat, labels, scale = ops["lg"]
-            z = mat @ x
-            total += float(np.logaddexp(0.0, -labels * z) @ scale)
-        if "du" in ops:
-            mat, sig, cen, rhs_full = ops["du"]
-            z = mat @ x
-            total += float(z @ (z / sig)) / 2.0 - float(cen @ z) + float(rhs_full @ x)
-        return total
-
     # -- proximal machinery -------------------------------------------------
 
     def prox(self, v):
         """Prox of the full regularizer in the weighted norm at v."""
-        lam, lb, ub = self.coordinate_reg_params
-        return np.clip(reg.soft_threshold(v, lam / self.coord_weights), lb, ub)
+        return reg.prox(v, self.lam, self.lb, self.ub, self.coord_weights)
 
     def proximal_step(self, x):
         """Full-dimensional candidate: prox of a weighted gradient step."""
@@ -286,13 +172,8 @@ class CompositeProblem:
                 + 0.5 * weighted_norm(d, self.coord_weights) ** 2 + psi)
 
     def project_domain(self, x):
-        """Blockwise projection onto the regularizer domains."""
-        x = _check_finite(x, self.n)
-        out = x.copy()
-        for i, spec in enumerate(self.regs):
-            sl = self.partition.slice(i)
-            out[sl] = reg.project_block(spec, out[sl])
-        return out
+        """Projection onto the regularizer domains (the boxes)."""
+        return np.clip(_check_finite(x, self.n), self.lb, self.ub)
 
     # -- norms ---------------------------------------------------------------
 
@@ -304,11 +185,42 @@ class CompositeProblem:
 
 
 def assemble_problem(partition, smooth, regs, weights=None):
-    """Build a CompositeProblem, deriving the incidence structure from the
-    block lists stored on the smooth components."""
-    pairs = []
+    """Compile front-end components (pbcd.smooth.make_*) and one regularizer
+    spec per block (pbcd.regularizers) into a CompositeProblem."""
+    if len(regs) != partition.num_blocks:
+        raise InputError("need exactly one regularizer per block")
+    rows, cols, vals, rowdata = [], [], [], []
+    lin = np.zeros(partition.n)
+    r0 = 0
     for j, comp in enumerate(smooth):
-        for i in comp.blocks:
-            pairs.append((j, int(i)))
-    structure = build_structure(pairs, partition.num_blocks, len(smooth))
-    return CompositeProblem(partition, structure, smooth, regs, weights=weights)
+        if comp.blocks[-1] >= partition.num_blocks:
+            raise InputError(f"component {j} reads a block beyond the partition")
+        nrows = comp.param.size
+        for t, (i, part) in enumerate(zip(comp.blocks, comp.parts)):
+            size, start = int(partition.block_sizes[i]), int(partition.offsets[i])
+            if part.shape != (size, nrows):
+                raise InputError(
+                    f"component {j}: coefficient part {t} has shape "
+                    f"{part.shape}, block {i} needs {(size, nrows)}")
+            coord, row = np.divmod(np.arange(part.size), nrows)
+            rows.append(r0 + row)
+            cols.append(start + coord)
+            vals.append(part.ravel())
+            if comp.lin is not None:
+                if comp.lin[t].shape != (size,):
+                    raise InputError(
+                        f"component {j}: rhs share {t} needs {size} entries")
+                lin[start:start + size] += comp.lin[t]
+        rowdata.append((np.full(nrows, comp.family), comp.param,
+                        np.full(nrows, comp.scale), np.full(nrows, j)))
+        r0 += nrows
+    if not rowdata:
+        raise InputError("need at least one smooth component")
+    family, param, scale, component = (np.concatenate(a) for a in zip(*rowdata))
+    op = SmoothOperator.from_entries(partition.n, np.concatenate(rows),
+                                     np.concatenate(cols), np.concatenate(vals),
+                                     family, param, scale, component, lin)
+    lam, lb, ub = (np.concatenate(a) for a in zip(*(
+        reg.coordinate_params(spec, int(size))
+        for spec, size in zip(regs, partition.block_sizes))))
+    return CompositeProblem(partition, op, lam, lb, ub, weights=weights)

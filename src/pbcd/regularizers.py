@@ -1,18 +1,24 @@
 """Separable regularizers and their exact proximal maps in the weighted norm.
 
-Each block i carries one regularizer; the prox of the full vector therefore
-splits into independent per-block (in fact per-coordinate) problems
+Every supported regularizer is "l1 weight plus box" on each coordinate,
 
-    min_u  psi(u) + w/2 * (u - v)^2,
+    psi_c(u) = lam_c * |u| + indicator(lb_c <= u <= ub_c),
 
-all solved in closed form.  Every kind here is a special case of
-"l1 weight plus box": soft-threshold at lam/w, then clamp to [lb, ub].
+so a problem stores its regularizer as three per-coordinate arrays and the
+prox of the full vector splits into independent scalar problems
+
+    min_u  psi_c(u) + w/2 * (u - v)^2,
+
+all solved in closed form: soft-threshold at lam/w, then clamp to [lb, ub].
 That composition is exact for separable one-dimensional problems: the
 unconstrained minimizer of the convex function psi(u) + w/2 (u-v)^2 is the
 soft-threshold value, and clipping a one-dimensional convex function's
 minimizer into an interval yields the constrained minimizer because the
 function is nonincreasing left of the minimizer and nondecreasing right of
 it.  Ties at the threshold boundary (|v| == lam/w) map to 0.
+
+`L1Box` is the one per-block spec; `Zero`, `L1`, `Box` and `NonnegOrthant`
+are constructors of its special cases.
 """
 
 from dataclasses import dataclass
@@ -23,49 +29,15 @@ from .errors import InputError
 
 
 @dataclass(frozen=True)
-class Zero:
-    """No regularization on this block."""
-
-
-@dataclass(frozen=True)
-class L1:
-    """lam * ||x||_1 on this block."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (self.lam >= 0.0):
-            raise InputError("l1 weight must be >= 0")
-
-
-@dataclass(frozen=True)
-class Box:
-    """Indicator of {lb <= x <= ub} (componentwise, scalars broadcast)."""
-
-    lb: object
-    ub: object
-
-    def __post_init__(self):
-        lb = np.asarray(self.lb, dtype=float)
-        ub = np.asarray(self.ub, dtype=float)
-        if np.any(lb > ub):
-            raise InputError("box lower bound exceeds upper bound")
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
-
-
-@dataclass(frozen=True)
-class NonnegOrthant:
-    """Indicator of {x >= 0}."""
-
-
-@dataclass(frozen=True)
 class L1Box:
-    """lam * ||x||_1 plus the indicator of a box."""
+    """lam * ||x||_1 plus the indicator of {lb <= x <= ub} on one block.
 
-    lam: float
-    lb: object
-    ub: object
+    lb and ub are componentwise; scalars broadcast over the block.
+    """
+
+    lam: float = 0.0
+    lb: object = -np.inf
+    ub: object = np.inf
 
     def __post_init__(self):
         if not (self.lam >= 0.0):
@@ -74,86 +46,65 @@ class L1Box:
         ub = np.asarray(self.ub, dtype=float)
         if np.any(lb > ub):
             raise InputError("box lower bound exceeds upper bound")
+        object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
+
+
+def Zero():
+    """No regularization on this block."""
+    return L1Box()
+
+
+def L1(lam):
+    """lam * ||x||_1 on this block."""
+    return L1Box(lam=lam)
+
+
+def Box(lb, ub):
+    """Indicator of {lb <= x <= ub} (componentwise, scalars broadcast)."""
+    return L1Box(lb=lb, ub=ub)
+
+
+def NonnegOrthant():
+    """Indicator of {x >= 0}."""
+    return L1Box(lb=0.0)
 
 
 def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def prox(v, lam, lb, ub, weight):
+    """Coordinatewise argmin_u lam|u| + box(u) + weight/2 (u - v)^2."""
+    return np.minimum(np.maximum(soft_threshold(v, lam / weight), lb), ub)
+
+
+def value(x, lam, lb, ub):
+    """sum_c psi_c(x_c); +inf when a box constraint is violated."""
+    if np.any(x < lb) or np.any(x > ub):
+        return np.inf
+    return float(np.dot(np.broadcast_to(lam, x.shape), np.abs(x)))
+
+
 def prox_block(spec, v, weight):
     """argmin_u psi_i(u) + weight/2 * ||u - v||^2 for one block."""
     if weight <= 0.0:
         raise InputError("prox weight must be > 0")
-    v = np.asarray(v, dtype=float)
-    if isinstance(spec, Zero):
-        return v.copy()
-    if isinstance(spec, L1):
-        return soft_threshold(v, spec.lam / weight)
-    if isinstance(spec, Box):
-        return np.clip(v, spec.lb, spec.ub)
-    if isinstance(spec, NonnegOrthant):
-        return np.maximum(v, 0.0)
-    if isinstance(spec, L1Box):
-        return np.clip(soft_threshold(v, spec.lam / weight), spec.lb, spec.ub)
-    raise InputError(f"unknown regularizer type {type(spec).__name__}")
+    return prox(np.asarray(v, dtype=float), spec.lam, spec.lb, spec.ub, weight)
 
 
 def value_block(spec, x):
     """psi_i(x) for one block; +inf when an indicator is violated."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, Zero):
-        return 0.0
-    if isinstance(spec, L1):
-        return spec.lam * float(np.sum(np.abs(x)))
-    if isinstance(spec, Box):
-        return 0.0 if np.all(x >= spec.lb) and np.all(x <= spec.ub) else np.inf
-    if isinstance(spec, NonnegOrthant):
-        return 0.0 if np.all(x >= 0.0) else np.inf
-    if isinstance(spec, L1Box):
-        if np.all(x >= spec.lb) and np.all(x <= spec.ub):
-            return spec.lam * float(np.sum(np.abs(x)))
-        return np.inf
-    raise InputError(f"unknown regularizer type {type(spec).__name__}")
+    return value(np.asarray(x, dtype=float), spec.lam, spec.lb, spec.ub)
 
 
 def project_block(spec, x):
     """Euclidean projection of one block onto dom psi_i."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, (Zero, L1)):
-        return x.copy()
-    if isinstance(spec, Box):
-        return np.clip(x, spec.lb, spec.ub)
-    if isinstance(spec, NonnegOrthant):
-        return np.maximum(x, 0.0)
-    if isinstance(spec, L1Box):
-        return np.clip(x, spec.lb, spec.ub)
-    raise InputError(f"unknown regularizer type {type(spec).__name__}")
+    return np.clip(np.asarray(x, dtype=float), spec.lb, spec.ub)
 
 
 def coordinate_params(spec, size):
-    """(lam, lb, ub) arrays of length `size` describing the block.
-
-    Every kind is representable as l1-plus-box; the solver uses this to
-    vectorize full-vector proximal steps.
-    """
-    lam = np.zeros(size)
-    lb = np.full(size, -np.inf)
-    ub = np.full(size, np.inf)
-    if isinstance(spec, Zero):
-        pass
-    elif isinstance(spec, L1):
-        lam[:] = spec.lam
-    elif isinstance(spec, Box):
-        lb[:] = spec.lb
-        ub[:] = spec.ub
-    elif isinstance(spec, NonnegOrthant):
-        lb[:] = 0.0
-    elif isinstance(spec, L1Box):
-        lam[:] = spec.lam
-        lb[:] = spec.lb
-        ub[:] = spec.ub
-    else:
-        raise InputError(f"unknown regularizer type {type(spec).__name__}")
-    return lam, lb, ub
+    """(lam, lb, ub) arrays of length `size` describing the block."""
+    return tuple(np.broadcast_to(np.asarray(a, dtype=float), (size,)).copy()
+                 for a in (spec.lam, spec.lb, spec.ub))

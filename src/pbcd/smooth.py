@@ -1,68 +1,259 @@
-"""Smooth component families with exact gradients and Lipschitz constants.
+"""The smooth part as one sparse operator.
 
-Three families are provided:
+Every supported smooth part has the form (Richtarik & Takac, Math. Prog.
+2016)
 
-* QuadraticResidual -- 0.5 * (a'x - b)^2 for one sparse data row a,
-  constant ||a||^2.  The building block of (constrained) lasso problems.
-* LogisticLoss -- log(1 + exp(-label * a'x)) / num_samples for one sample,
-  constant ||a||^2 / (4 * num_samples).  The 1/num_samples averaging is
-  applied to both the value and the constant so the aggregated step
-  weights stay consistent with the descent inequality.
-* QuadraticConjugateDual -- one summand of the (sign-flipped) dual of a
-  linearly constrained strongly convex primal with quadratic terms
-  g_j(u) = sigma/2 * ||u - center||^2, whose conjugate is closed form:
-  f_j(x) = ||z||^2/(2 sigma) - <center, z> + <x, rhs_part>  with z = A'x.
-  Constant ||A||_2^2 / sigma (spectral norm).
+    f(x) = sum_r phi_r((M x)_r) + <lin, x>
 
-Every component evaluates through a small linear cache ("state"): the
-residual a'x - b, the inner product a'x, or (z, <x, rhs_part>).  States are
-linear in x, so block updates translate into exact additive state deltas;
-the solver exploits this for incremental bookkeeping.
+for one sparse matrix M whose rows carry a family code, a parameter p_r and
+a scale s_r:
+
+* RESIDUAL  phi(z) = (z - p)^2 / 2           one row per data row a' of a
+            least-squares / lasso objective; p is the observation, s = 1.
+* LOGISTIC  phi(z) = log(1 + exp(-p z)) / s  one row per sample of an
+            averaged logistic loss; p is the +/-1 label, s the sample count.
+* DUAL      phi(z) = z^2 / (2 s) - p z       the conjugate of the primal term
+            s/2 ||u - center||^2 of a linearly constrained problem, one row
+            per primal coordinate (z = A'x); p is the center entry, s sigma.
+            The dual's <rhs, x> term is the vector `lin`.
+
+Rows are grouped into smooth components by a row -> component map: one row
+per residual or logistic component, the coordinates of one primal part per
+dual component.  All rows of a component share a family and a scale, so
+phi'' <= 1/d with curvature divisor d = 1, 4s, s per family, and component
+j's gradient Lipschitz constant is ||M_j||_2^2 / d_j, M_j its rows.
+
+The make_* functions are the validated front end that builds components one
+at a time; problem.assemble_problem compiles them into the same operator
+that the generators build straight from coordinate arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
+from .blocks import concat_ranges
 from .errors import InputError
 
-# Spectral norms are needed to machine accuracy: the descent inequality is
-# asserted with slack 1e-9 in the property suite, so an estimate that is low
-# by more than ~1e-12 relative would surface as a spurious violation.
-_POWER_TOL = 1e-14
-_POWER_MAXITER = 1000
+RESIDUAL, LOGISTIC, DUAL = 0, 1, 2
 
 
 def spectral_norm_sq(mat):
-    """Largest squared singular value via power iteration on the Gram matrix.
-
-    Deterministic all-ones start; iterates until the Rayleigh quotient is
-    stationary to relative 1e-14 (or 1000 iterations).
-    """
+    """Largest squared singular value, from the SVD (exact to rounding)."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim == 1:
         mat = mat[:, None]
-    if mat.shape[0] >= mat.shape[1]:
-        gram = mat.T @ mat
-    else:
-        gram = mat @ mat.T
-    v = np.ones(gram.shape[0])
-    lam = 0.0
-    for _ in range(_POWER_MAXITER):
-        gv = gram @ v
-        nrm = np.linalg.norm(gv)
-        if nrm == 0.0:
-            return 0.0
-        v = gv / nrm
-        new_lam = float(v @ (gram @ v))
-        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
-    return lam
+    if mat.size == 0:
+        return 0.0
+    return float(np.linalg.norm(mat, 2)) ** 2
 
 
-def _as_block_parts(blocks, parts, name):
+def _phi(code, z, p, s):
+    if code == RESIDUAL:
+        return 0.5 * (z - p) ** 2
+    if code == LOGISTIC:
+        return np.logaddexp(0.0, -p * z) / s
+    return z * z / (2.0 * s) - p * z
+
+
+def _dphi(code, z, p, s):
+    if code == RESIDUAL:
+        return z - p
+    if code == LOGISTIC:
+        return -p * expit(-p * z) / s
+    return z / s - p
+
+
+@dataclass(frozen=True, eq=False)
+class SmoothOperator:
+    """M in CSC form plus the per-row family data and the linear term."""
+
+    matrix: sp.csc_matrix
+    family: np.ndarray
+    param: np.ndarray
+    scale: np.ndarray
+    component: np.ndarray
+    lin: np.ndarray
+    num_components: int
+
+    @classmethod
+    def from_entries(cls, n, rows, cols, vals, family, param, scale,
+                     component, lin=None):
+        """Build from coordinate entries (row, col, value) of M.
+
+        family, param, scale and component hold one value per row of M.
+        Explicit zero entries are kept: they mark which blocks a component
+        reads.
+        """
+        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+        vals = np.asarray(vals, float)
+        family = np.asarray(family, np.int8)
+        m = family.size
+        param, scale = np.asarray(param, float), np.asarray(scale, float)
+        component = np.asarray(component, np.int64)
+        if not (rows.shape == cols.shape == vals.shape
+                and param.shape == scale.shape == component.shape == (m,)):
+            raise InputError("smooth operator arrays disagree in length")
+        if rows.size and (rows.min() < 0 or rows.max() >= m
+                          or cols.min() < 0 or cols.max() >= n):
+            raise InputError("smooth operator entry out of range")
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(param))):
+            raise InputError("smooth operator data contain NaN or infinite values")
+        if np.any((family < 0) | (family > DUAL)) or np.any(~(scale > 0.0)):
+            raise InputError("smooth rows need a known family and a scale > 0")
+        if np.any((family == LOGISTIC) & (np.abs(param) != 1.0)):
+            raise InputError("logistic label must be -1 or +1")
+        ncomp = int(component.max()) + 1 if m else 0
+        if m and component.min() < 0:
+            raise InputError("negative component index")
+        first = np.full(ncomp, m)
+        np.minimum.at(first, component, np.arange(m))
+        lead = first[component]
+        if np.any(family[lead] != family) or np.any(scale[lead] != scale):
+            raise InputError("rows of one component must share family and scale")
+        order = np.lexsort((rows, cols))
+        rows, cols = rows[order], cols[order]
+        if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+            raise InputError("duplicate entry in the smooth operator")
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        matrix = sp.csc_matrix((vals[order], rows, indptr), shape=(m, n))
+        lin = np.zeros(n) if lin is None else np.asarray(lin, float)
+        if lin.shape != (n,) or not np.all(np.isfinite(lin)):
+            raise InputError(f"linear term must be a finite vector of length {n}")
+        return cls(matrix, family, param, scale, component, lin, ncomp)
+
+    @cached_property
+    def codes(self):
+        """Family codes present, ascending."""
+        return tuple(int(c) for c in np.unique(self.family))
+
+    @cached_property
+    def transpose(self):
+        return self.matrix.T.tocsr()
+
+    @cached_property
+    def entry_cols(self):
+        """Column index of every stored entry, in CSC order."""
+        return np.repeat(np.arange(self.matrix.shape[1]), np.diff(self.matrix.indptr))
+
+    @cached_property
+    def divisor(self):
+        """Per-row curvature divisor d with phi'' <= 1/d."""
+        return np.where(self.family == LOGISTIC, 4.0, 1.0) * self.scale
+
+    def _by_family(self, fn, z, rows):
+        if rows is None:
+            rows = slice(None)
+        p, s = self.param[rows], self.scale[rows]
+        if len(self.codes) == 1:
+            return fn(self.codes[0], z, p, s)
+        fam = self.family[rows]
+        out = np.empty_like(z)
+        for code in self.codes:
+            sel = fam == code
+            out[sel] = fn(code, z[sel], p[sel], s[sel])
+        return out
+
+    def values(self, z, rows=None):
+        """phi_r(z) for every row r (or for the listed rows)."""
+        return self._by_family(_phi, z, rows)
+
+    def derivs(self, z, rows=None):
+        """phi_r'(z) for every row r (or for the listed rows)."""
+        return self._by_family(_dphi, z, rows)
+
+    def columns(self, cols):
+        """Rows, values and positions in `cols` of the entries of M[:, cols]."""
+        indptr = self.matrix.indptr
+        start = indptr[cols]
+        count = indptr[cols + 1] - start
+        pos = concat_ranges(start, count)
+        local = np.arange(cols.size).repeat(count)
+        return self.matrix.indices[pos], self.matrix.data[pos], local
+
+    @cached_property
+    def lipschitz(self):
+        """Per-component constants ||M_j||_2^2 / d_j."""
+        m = self.matrix
+        norms = grouped_norm_sq(self.component[m.indices], m.indices,
+                                self.entry_cols, m.data, self.num_components)
+        div = np.ones(self.num_components)
+        div[self.component] = self.divisor
+        return norms / div
+
+
+def grouped_norm_sq(keys, rows, cols, vals, num_groups):
+    """Squared spectral norm of the submatrix formed by each key's entries.
+
+    A group whose entries share one row or one column is a vector, whose
+    norm is the root of its sum of squares; other groups go through
+    spectral_norm_sq on their dense submatrix.
+    """
+    out = np.zeros(num_groups)
+    if keys.size == 0:
+        return out
+    order = np.argsort(keys, kind="stable")
+    keys, rows, cols, vals = keys[order], rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    bounds = np.r_[starts, keys.size]
+    out[keys[starts]] = np.add.reduceat(vals * vals, starts)
+    line = ((np.minimum.reduceat(rows, starts) == np.maximum.reduceat(rows, starts))
+            | (np.minimum.reduceat(cols, starts) == np.maximum.reduceat(cols, starts)))
+    for g in np.flatnonzero(~line):
+        sl = slice(bounds[g], bounds[g + 1])
+        _, ri = np.unique(rows[sl], return_inverse=True)
+        _, ci = np.unique(cols[sl], return_inverse=True)
+        dense = np.zeros((ri.max() + 1, ci.max() + 1))
+        dense[ri, ci] = vals[sl]
+        out[keys[starts[g]]] = spectral_norm_sq(dense)
+    return out
+
+
+def coordinatewise_constants(problem):
+    """Per-block coordinate-wise gradient Lipschitz constants.
+
+    Used by the reference stepsize rule that scales per-block constants
+    instead of aggregating per-component ones.  Per family: residual rows
+    contribute jointly the squared spectral norm of the block's column slice
+    of their data matrix (the largest eigenvalue of the stacked row Gram);
+    logistic and dual components contribute additive per-block terms
+    ||a_i||^2/(4 m) and ||A_ij||^2 / sigma_j.
+    """
+    op = problem.smooth
+    nb = problem.num_blocks
+    rows = op.matrix.indices
+    blk = problem.partition.block_of[op.entry_cols]
+    owner = np.where(op.family[rows] == RESIDUAL, -1, op.component[rows])
+    groups, key = np.unique((owner + 1) * nb + blk, return_inverse=True)
+    norms = grouped_norm_sq(key.ravel(), rows, op.entry_cols, op.matrix.data,
+                            groups.size)
+    div = np.ones(op.num_components + 1)
+    div[op.component + 1] = op.divisor
+    return np.bincount(groups % nb, weights=norms / div[groups // nb],
+                       minlength=nb)
+
+
+@dataclass(frozen=True)
+class Component:
+    """One validated smooth component, before compilation into M.
+
+    parts[t] is the (block size x rows) slice of M' on blocks[t]; lin, when
+    present, holds this component's share of the linear term per block.
+    """
+
+    family: int
+    blocks: np.ndarray
+    parts: tuple
+    param: np.ndarray
+    scale: float
+    lin: tuple = None
+
+
+def _block_parts(blocks, parts, name, ndim):
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.ndim != 1 or blocks.size == 0:
         raise InputError(f"{name}: need at least one block index")
@@ -70,107 +261,31 @@ def _as_block_parts(blocks, parts, name):
         raise InputError(f"{name}: block indices must be sorted and unique")
     if len(parts) != blocks.size:
         raise InputError(f"{name}: one coefficient part per block required")
-    return blocks, [np.atleast_1d(np.asarray(p, dtype=float)) for p in parts]
-
-
-@dataclass(frozen=True)
-class QuadraticResidual:
-    """f(x) = 0.5 * (a'x - b)^2 restricted to the blocks where a is nonzero."""
-
-    blocks: np.ndarray
-    coeffs: list
-    rhs: float
-    lipschitz: float = field(init=False)
-
-    def __post_init__(self):
-        blocks, coeffs = _as_block_parts(self.blocks, self.coeffs, "quadratic residual")
-        norm_sq = sum(float(c @ c) for c in coeffs)
-        if norm_sq <= 0.0:
-            raise InputError("quadratic residual built from an all-zero row")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", float(self.rhs))
-        object.__setattr__(self, "lipschitz", norm_sq)
-
-    state_size = 1
-
-    def init_state(self, parts):
-        r = -self.rhs
-        for c, p in zip(self.coeffs, parts):
-            r += float(c @ p)
-        return np.array([r])
-
-    def value_from_state(self, state):
-        return 0.5 * state[0] * state[0]
-
-    def grad_block_from_state(self, state, t):
-        return self.coeffs[t] * state[0]
-
-    def state_delta(self, t, dx):
-        return np.array([float(self.coeffs[t] @ dx)])
-
-    def value(self, parts):
-        return self.value_from_state(self.init_state(parts))
+    parts = tuple(np.asarray(p, dtype=float).reshape(-1, 1) if ndim == 1
+                  else np.atleast_2d(np.asarray(p, dtype=float)) for p in parts)
+    if not any(np.any(p != 0.0) for p in parts):
+        raise InputError(f"{name} built from all-zero coefficients")
+    return blocks, parts
 
 
 def make_quadratic_residual(blocks, coeffs, rhs):
-    """Component for one data row of a least-squares / lasso objective."""
-    return QuadraticResidual(blocks=blocks, coeffs=coeffs, rhs=rhs)
-
-
-@dataclass(frozen=True)
-class LogisticLoss:
-    """Averaged logistic loss of one labelled sample."""
-
-    blocks: np.ndarray
-    coeffs: list
-    label: int
-    num_samples: int
-    lipschitz: float = field(init=False)
-
-    def __post_init__(self):
-        blocks, coeffs = _as_block_parts(self.blocks, self.coeffs, "logistic loss")
-        if self.label not in (-1, 1):
-            raise InputError("logistic label must be -1 or +1")
-        if self.num_samples < 1:
-            raise InputError("sample count must be >= 1")
-        norm_sq = sum(float(c @ c) for c in coeffs)
-        if norm_sq <= 0.0:
-            raise InputError("logistic sample with all-zero features")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "lipschitz", norm_sq / (4.0 * self.num_samples))
-
-    state_size = 1
-
-    def init_state(self, parts):
-        z = 0.0
-        for c, p in zip(self.coeffs, parts):
-            z += float(c @ p)
-        return np.array([z])
-
-    def value_from_state(self, state):
-        return float(np.logaddexp(0.0, -self.label * state[0])) / self.num_samples
-
-    def grad_block_from_state(self, state, t):
-        s = float(expit(-self.label * state[0]))
-        return self.coeffs[t] * (-self.label * s / self.num_samples)
-
-    def state_delta(self, t, dx):
-        return np.array([float(self.coeffs[t] @ dx)])
-
-    def value(self, parts):
-        return self.value_from_state(self.init_state(parts))
+    """Component 0.5 * (a'x - rhs)^2 for one data row a of a lasso objective."""
+    blocks, parts = _block_parts(blocks, coeffs, "quadratic residual", 1)
+    return Component(RESIDUAL, blocks, parts, np.array([float(rhs)]), 1.0)
 
 
 def make_logistic(blocks, coeffs, label, num_samples):
-    """Component for one sample of an averaged logistic regression loss."""
-    return LogisticLoss(blocks=blocks, coeffs=coeffs, label=label,
-                        num_samples=num_samples)
+    """Component log(1 + exp(-label a'x)) / num_samples for one sample a."""
+    if label not in (-1, 1):
+        raise InputError("logistic label must be -1 or +1")
+    if num_samples < 1:
+        raise InputError("sample count must be >= 1")
+    blocks, parts = _block_parts(blocks, coeffs, "logistic sample", 1)
+    return Component(LOGISTIC, blocks, parts, np.array([float(label)]),
+                     float(num_samples))
 
 
-@dataclass(frozen=True)
-class QuadraticConjugateDual:
+def make_quadratic_conjugate_dual(blocks, mats, sigma, center, rhs_parts):
     """Dual summand of a strongly convex quadratic primal term.
 
     Minimization form of one term of the dual of
@@ -181,111 +296,15 @@ class QuadraticConjugateDual:
 
     `mats[t]` is the (block_size x inner_dim) slice of this component's
     column block of A for blocks[t]; `rhs_parts[t]` is that block's share of
-    the constraint right-hand side (shares must tile the full vector so the
-    linear terms add up to <x, rhs> across components).
+    the constraint right-hand side.
     """
-
-    blocks: np.ndarray
-    mats: list
-    sigma: float
-    center: np.ndarray
-    rhs_parts: list
-    lipschitz: float = field(init=False)
-    inner_dim: int = field(init=False)
-
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise InputError("strong convexity parameter sigma must be > 0")
-        blocks = np.asarray(self.blocks, dtype=np.int64)
-        if blocks.ndim != 1 or blocks.size == 0:
-            raise InputError("dual component: need at least one block index")
-        if np.any(np.diff(blocks) <= 0):
-            raise InputError("dual component: block indices must be sorted and unique")
-        mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in self.mats]
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        rhs_parts = [np.atleast_1d(np.asarray(r, dtype=float)) for r in self.rhs_parts]
-        if len(mats) != blocks.size or len(rhs_parts) != blocks.size:
-            raise InputError("one matrix slice and rhs share per block required")
-        inner = center.size
-        for m in mats:
-            if m.shape[1] != inner:
-                raise InputError("matrix slices must share the conjugate dimension")
-        stacked = np.vstack(mats)
-        norm_sq = spectral_norm_sq(stacked)
-        if norm_sq <= 0.0:
-            raise InputError("dual component built from an all-zero column block")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "rhs_parts", rhs_parts)
-        object.__setattr__(self, "lipschitz", norm_sq / self.sigma)
-        object.__setattr__(self, "inner_dim", inner)
-
-    @property
-    def state_size(self):
-        return self.inner_dim + 1
-
-    def init_state(self, parts):
-        z = np.zeros(self.inner_dim)
-        lin = 0.0
-        for m, r, p in zip(self.mats, self.rhs_parts, parts):
-            z += m.T @ p
-            lin += float(r @ p)
-        return np.concatenate([z, [lin]])
-
-    def value_from_state(self, state):
-        z = state[:-1]
-        return float(z @ z) / (2.0 * self.sigma) - float(self.center @ z) + state[-1]
-
-    def grad_block_from_state(self, state, t):
-        z = state[:-1]
-        return self.mats[t] @ (z / self.sigma - self.center) + self.rhs_parts[t]
-
-    def state_delta(self, t, dx):
-        return np.concatenate([self.mats[t].T @ dx, [float(self.rhs_parts[t] @ dx)]])
-
-    def value(self, parts):
-        return self.value_from_state(self.init_state(parts))
-
-
-def make_quadratic_conjugate_dual(blocks, mats, sigma, center, rhs_parts):
-    """Dual component with a closed-form quadratic conjugate."""
-    return QuadraticConjugateDual(blocks=blocks, mats=mats, sigma=sigma,
-                                  center=center, rhs_parts=rhs_parts)
-
-
-def coordinatewise_constants(problem):
-    """Per-block coordinate-wise gradient Lipschitz constants.
-
-    Used by the reference stepsize rule that scales per-block constants
-    instead of aggregating per-component ones.  Per family:
-    quadratic residuals contribute the largest eigenvalue of the stacked
-    row Gram on each block (the squared spectral norm of the block column
-    of the data matrix); logistic and dual components contribute additive
-    per-block terms ||a_i||^2/(4 m) and ||A_ij||^2 / sigma_j.
-    """
-    part = problem.partition
-    scalar = np.zeros(part.num_blocks)
-    grams = {}
-    for comp in problem.smooth:
-        if isinstance(comp, QuadraticResidual):
-            for t, i in enumerate(comp.blocks):
-                g = grams.get(int(i))
-                if g is None:
-                    g = np.zeros((part.block_sizes[i], part.block_sizes[i]))
-                    grams[int(i)] = g
-                g += np.outer(comp.coeffs[t], comp.coeffs[t])
-        elif isinstance(comp, LogisticLoss):
-            for t, i in enumerate(comp.blocks):
-                c = comp.coeffs[t]
-                scalar[i] += float(c @ c) / (4.0 * comp.num_samples)
-        elif isinstance(comp, QuadraticConjugateDual):
-            for t, i in enumerate(comp.blocks):
-                scalar[i] += spectral_norm_sq(comp.mats[t]) / comp.sigma
-        else:
-            raise InputError(f"unknown smooth component type {type(comp).__name__}")
-    out = scalar.copy()
-    for i, g in grams.items():
-        out[i] += float(np.linalg.eigvalsh(g)[-1])
-    return out
+    if not sigma > 0.0:
+        raise InputError("strong convexity parameter sigma must be > 0")
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    blocks, parts = _block_parts(blocks, mats, "dual component", 2)
+    rhs_parts = tuple(np.atleast_1d(np.asarray(r, dtype=float)) for r in rhs_parts)
+    if len(rhs_parts) != blocks.size:
+        raise InputError("one matrix slice and rhs share per block required")
+    if any(p.shape[1] != center.size for p in parts):
+        raise InputError("matrix slices must share the conjugate dimension")
+    return Component(DUAL, blocks, parts, center, float(sigma), rhs_parts)

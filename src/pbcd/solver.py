@@ -1,13 +1,13 @@
 """Randomized block-coordinate descent with incremental state maintenance.
 
-One iteration draws an index set of blocks, forms each selected block's
-proximal update from the iteration-start snapshot (synchronous model: no
-block reads another's fresh value within an iteration), and applies all
-updates plus the induced component-cache deltas in a deterministic order.
-Workers write disjoint blocks; their per-component deltas are merged by an
-ordered reduction, so results are reproducible bit-for-bit for a fixed
-worker count and agree across worker counts up to floating-point summation
-order.
+One iteration draws an index set S of blocks and updates all of them at
+once from the iteration-start snapshot (synchronous model: no block reads
+another's fresh value within an iteration).  The solver keeps z = M x, the
+row values of the smooth operator, and F(x) as incremental caches.  One
+step gathers the gradient M[:, S]' phi'(z) straight from M's CSC arrays,
+takes one vectorized prox, accumulates the change of z in one pass over the
+rows, and re-evaluates phi only on the rows whose value changed.
+Parallelism is array-level; a fixed seed reproduces a run bit-for-bit.
 
 Modes
 -----
@@ -19,7 +19,6 @@ Modes
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ class SolverConfig:
     eps_mapping: float = None
     eps_gap: float = None
     fstar: float = None
-    workers: int = 1
     trace_stride: int = 1
     trace_mapping_norm: bool = False
     check_stride: int = None
@@ -78,12 +76,12 @@ class Trace:
 class SolverState:
     """Mutable iterate plus incremental caches.
 
-    comp_states[j] caches the linear inner state of smooth component j
-    (residual / inner product / conjugate argument); f_value caches F(x).
+    z caches M x, one value per row of the smooth operator; f_value caches
+    F(x).
     """
 
     x: np.ndarray
-    comp_states: list
+    z: np.ndarray
     f_value: float
     k: int = 0
     coordinate_updates: int = 0
@@ -91,6 +89,13 @@ class SolverState:
 
 @dataclass
 class SolveResult:
+    """Outcome of run().
+
+    coordinate_updates counts block updates: the number of blocks drawn,
+    summed over iterations.  On a partition into blocks of size b it is
+    the coordinate-update count divided by b.
+    """
+
     x: np.ndarray
     objective: float
     trace: Trace
@@ -104,13 +109,10 @@ class SolveResult:
 def init_solver_state(problem, x0):
     """Build caches for a feasible starting point."""
     x = np.asarray(x0, dtype=float).copy()
-    states = [c.init_state([problem.partition.block(x, i) for i in c.blocks])
-              for c in problem.smooth]
-    f = sum(c.value_from_state(s) for c, s in zip(problem.smooth, states))
-    psi = problem.reg_value(x)
-    if psi == np.inf:
+    f = problem.objective(x)
+    if f == np.inf:
         raise InputError("starting point violates an indicator constraint")
-    return SolverState(x=x, comp_states=states, f_value=float(f + psi))
+    return SolverState(x=x, z=problem.smooth.matrix @ x, f_value=float(f))
 
 
 def coordwise_weights(problem, batch_size):
@@ -119,90 +121,40 @@ def coordwise_weights(problem, batch_size):
     return float(beta) * coordinatewise_constants(problem)
 
 
-def _process_blocks(problem, x, comp_states, idx_chunk, wdiag):
-    """Proximal updates for a chunk of blocks, all read from the snapshot."""
-    part = problem.partition
-    touch = problem.block_touch
-    smooth = problem.smooth
-    regs = problem.regs
-    out = []
-    for i in idx_chunk:
-        i = int(i)
-        sl = part.slice(i)
-        xi = x[sl]
-        g = np.zeros(sl.stop - sl.start)
-        for j, t in touch[i]:
-            g += smooth[j].grad_block_from_state(comp_states[j], t)
-        w = wdiag[i]
-        new = reg.prox_block(regs[i], xi - g / w, w)
-        dx = new - xi
-        deltas = [(j, smooth[j].state_delta(t, dx)) for j, t in touch[i]]
-        out.append((i, new, deltas))
-    return out
+def step(problem, state, idx, weights=None, enforce_descent=True):
+    """One iteration over the distinct blocks `idx` (updates `state` in place).
 
+    Blocks outside `idx` are untouched.  Every selected coordinate takes its
+    proximal step from the pre-step snapshot z = M x:
 
-def _apply_updates(problem, state, ordered_results):
-    """Ordered reduction: write blocks, merge component deltas, update F."""
-    part = problem.partition
-    regs = problem.regs
-    smooth = problem.smooth
-    x = state.x
-    psi_delta = 0.0
-    acc = {}
-    for batch in ordered_results:
-        for i, new, deltas in batch:
-            sl = part.slice(i)
-            psi_delta += (reg.value_block(regs[i], new)
-                          - reg.value_block(regs[i], x[sl]))
-            x[sl] = new
-            for j, d in deltas:
-                prev = acc.get(j)
-                if prev is None:
-                    acc[j] = d.copy()
-                else:
-                    prev += d
-    f_delta = 0.0
-    for j in sorted(acc):
-        st = state.comp_states[j]
-        old = smooth[j].value_from_state(st)
-        st += acc[j]
-        f_delta += smooth[j].value_from_state(st) - old
-    return f_delta + psi_delta
+        g = M[:, S]' phi'(z) + lin[S],  x_S <- prox(x_S - g / w_S),
 
-
-def step(problem, state, idx, weights=None, workers=1, pool=None,
-         enforce_descent=True):
-    """One iteration over the index set `idx` (updates `state` in place).
-
-    Blocks outside `idx` are untouched; gradients are evaluated from the
-    pre-step cache snapshot, so the result does not depend on processing
-    order beyond floating-point summation.
+    then z and F are updated over the rows whose value changed.
     """
     idx = np.asarray(idx, dtype=np.int64).ravel()
-    if idx.size:
-        if int(idx.min()) < 0 or int(idx.max()) >= problem.num_blocks:
-            raise InputError("block index out of range in update set")
-    wdiag = problem.weights.diag if weights is None else weights
-    f_old = state.f_value
     if idx.size == 0:
         return state
-    nworkers = min(int(workers), idx.size)
-    if nworkers > 1:
-        chunks = np.array_split(idx, nworkers)
-        own_pool = pool is None
-        if own_pool:
-            pool = ThreadPoolExecutor(max_workers=nworkers)
-        try:
-            futures = [pool.submit(_process_blocks, problem, state.x,
-                                   state.comp_states, ch, wdiag)
-                       for ch in chunks]
-            results = [f.result() for f in futures]
-        finally:
-            if own_pool:
-                pool.shutdown()
-    else:
-        results = [_process_blocks(problem, state.x, state.comp_states, idx, wdiag)]
-    state.f_value = f_old + _apply_updates(problem, state, results)
+    if int(idx.min()) < 0 or int(idx.max()) >= problem.num_blocks:
+        raise InputError("block index out of range in update set")
+    wdiag = problem.weights.diag if weights is None else weights
+    part, op = problem.partition, problem.smooth
+    cols = part.coords(idx)
+    g, rows, vals, local = problem.columns_gradient(state.z, cols)
+    old = state.x[cols]
+    w = np.repeat(wdiag[idx], part.block_sizes[idx])
+    lam = problem.lam[cols]
+    new = reg.prox(old - g / w, lam, problem.lb[cols], problem.ub[cols], w)
+    dx = new - old
+    dz = np.bincount(rows, weights=vals * dx[local], minlength=state.z.size)
+    touched = dz.nonzero()[0]
+    z_old = state.z[touched]
+    z_new = z_old + dz[touched]
+    delta = float(np.sum(op.values(z_new, touched) - op.values(z_old, touched)))
+    delta += float(op.lin[cols] @ dx) + float(lam @ (np.abs(new) - np.abs(old)))
+    f_old = state.f_value
+    state.x[cols] = new
+    state.z[touched] = z_new
+    state.f_value = f_old + delta
     if enforce_descent and not (state.f_value
                                 <= f_old + DESCENT_TOL * (1.0 + abs(f_old))):
         raise DescentViolationError(
@@ -213,32 +165,25 @@ def step(problem, state, idx, weights=None, workers=1, pool=None,
 
 def verify_and_refresh_caches(problem, state, rtol=CACHE_RTOL):
     """Recompute all caches from x; raise on drift beyond `rtol` relative."""
-    worst = (0.0, None)
-    fresh_states = []
-    for j, comp in enumerate(problem.smooth):
-        parts = [problem.partition.block(state.x, i) for i in comp.blocks]
-        fresh = comp.init_state(parts)
-        err = float(np.max(np.abs(state.comp_states[j] - fresh)
-                           / (1.0 + np.abs(fresh))))
-        if err > worst[0]:
-            worst = (err, j)
-        fresh_states.append(fresh)
-    fresh_f = sum(c.value_from_state(s)
-                  for c, s in zip(problem.smooth, fresh_states))
-    fresh_f += problem.reg_value(state.x)
+    fresh = problem.smooth.matrix @ state.x
+    rel = np.abs(state.z - fresh) / (1.0 + np.abs(fresh))
+    worst = int(np.argmax(rel))
+    err = float(rel[worst])
+    fresh_f = problem.objective(state.x)
     f_err = abs(state.f_value - fresh_f) / (1.0 + abs(fresh_f))
-    if worst[0] > rtol or f_err > rtol:
+    if err > rtol or f_err > rtol:
         raise CacheConsistencyError(
             "incremental caches drifted beyond tolerance",
             diagnostics={
                 "iteration": state.k,
-                "worst_component": worst[1],
-                "worst_state_rel_err": worst[0],
+                "worst_row": worst,
+                "worst_component": int(problem.smooth.component[worst]),
+                "worst_state_rel_err": err,
                 "objective_rel_err": f_err,
                 "cached_objective": state.f_value,
                 "recomputed_objective": fresh_f,
             })
-    state.comp_states = fresh_states
+    state.z = fresh
     state.f_value = float(fresh_f)
     return state
 
@@ -252,8 +197,6 @@ def run(problem, config, x0):
     """
     if config.mode not in MODES:
         raise InputError(f"unknown solver mode {config.mode!r}")
-    if config.workers < 1:
-        raise InputError("workers must be >= 1")
     if config.eps_mapping is not None and config.eps_gap is not None:
         raise InputError("choose a single primary stop rule (mapping or gap)")
     if config.eps_gap is not None and config.fstar is None:
@@ -297,31 +240,24 @@ def run(problem, config, x0):
     record(0, 0)
     converged = False
     status = "max-iters"
-    pool = ThreadPoolExecutor(max_workers=config.workers) \
-        if config.workers > 1 else None
-    try:
-        while state.k < config.max_iters:
-            idx = full_set if sampler is None else sampler.draw()
-            step(problem, state, idx, weights=weights,
-                 workers=config.workers, pool=pool, enforce_descent=enforce)
-            state.k += 1
-            state.coordinate_updates += int(idx.size)
-            if state.k % config.recompute_stride == 0:
-                verify_and_refresh_caches(problem, state)
-            if state.k % config.trace_stride == 0 or state.k == config.max_iters:
-                record(state.k, idx.size)
-            if config.eps_gap is not None \
-                    and state.f_value - config.fstar <= config.eps_gap:
-                converged, status = True, "converged:gap"
-                break
-            if config.eps_mapping is not None \
-                    and state.k % check_stride == 0 \
-                    and mapping_norm() <= config.eps_mapping:
-                converged, status = True, "converged:mapping-norm"
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while state.k < config.max_iters:
+        idx = full_set if sampler is None else sampler.draw()
+        step(problem, state, idx, weights=weights, enforce_descent=enforce)
+        state.k += 1
+        state.coordinate_updates += int(idx.size)
+        if state.k % config.recompute_stride == 0:
+            verify_and_refresh_caches(problem, state)
+        if state.k % config.trace_stride == 0 or state.k == config.max_iters:
+            record(state.k, idx.size)
+        if config.eps_gap is not None \
+                and state.f_value - config.fstar <= config.eps_gap:
+            converged, status = True, "converged:gap"
+            break
+        if config.eps_mapping is not None \
+                and state.k % check_stride == 0 \
+                and mapping_norm() <= config.eps_mapping:
+            converged, status = True, "converged:mapping-norm"
+            break
     record(state.k, batch if state.k else 0)
     return SolveResult(x=state.x.copy(), objective=state.f_value, trace=trace,
                        converged=converged, status=status,

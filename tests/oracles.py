@@ -1,14 +1,18 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the closed forms under test: gradients come from
-central differences, scalar proximal values from golden-section search, and
-tiny constrained quadratic programs from exhaustive active-set enumeration.
+central differences, scalar proximal values from golden-section search,
+tiny constrained quadratic programs from exhaustive active-set enumeration,
+and the smooth part and the sampled step from a per-component evaluation
+that keeps one cache per component.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from pbcd.smooth import LOGISTIC, RESIDUAL
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -109,3 +113,95 @@ def solve_tiny_qp(sigmas, centers, a_mat, rhs):
             if best is None or val < best[1]:
                 best = (u, val)
     return best
+
+
+# -- per-component reference for the smooth part and the sampled step ---------
+#
+# Each smooth component is held as (family, dense rows x n matrix, per-row
+# parameters, scale) and evaluated on its own, with the family formulas
+# written out here independently of pbcd.smooth.
+
+def component_value(kind, z, p, s):
+    if kind == RESIDUAL:
+        return 0.5 * float((z - p) @ (z - p))
+    if kind == LOGISTIC:
+        return float(np.sum(np.log1p(np.exp(-p * z)))) / s
+    return float(z @ z) / (2.0 * s) - float(p @ z)
+
+
+def component_deriv(kind, z, p, s):
+    if kind == RESIDUAL:
+        return z - p
+    if kind == LOGISTIC:
+        return -p / (1.0 + np.exp(p * z)) / s
+    return z / s - p
+
+
+def dense_components(specs, partition):
+    """Dense per-component view and linear term of make_* component specs."""
+    comps, lin = [], np.zeros(partition.n)
+    for c in specs:
+        mat = np.zeros((c.param.size, partition.n))
+        for t, i in enumerate(c.blocks):
+            sl = partition.slice(i)
+            mat[:, sl] = c.parts[t].T
+            if c.lin is not None:
+                lin[sl] += c.lin[t]
+        comps.append((c.family, mat, c.param, c.scale))
+    return comps, lin
+
+
+def value_and_gradient(comps, lin, x):
+    """Smooth value and gradient summed component by component."""
+    value, grad = float(lin @ x), lin.copy()
+    for kind, mat, p, s in comps:
+        z = mat @ x
+        value += component_value(kind, z, p, s)
+        grad += mat.T @ component_deriv(kind, z, p, s)
+    return value, grad
+
+
+def run_component_oracle(comps, lin, reg, partition, weights, draws, x0):
+    """The synchronous sampled step, one block and one component at a time.
+
+    Every block in a draw takes its proximal step from the iteration-start
+    component caches z_j = M_j x; then the updates are written, the caches
+    advanced by their summed deltas, and F tracked incrementally.  Returns
+    the final iterate and the objective after every iteration (first entry:
+    the start).  `reg` is the (lam, lb, ub) triple of per-coordinate arrays.
+    """
+    lam, lb, ub = reg
+    x = np.array(x0, dtype=float)
+    touch = [[j for j, c in enumerate(comps)
+              if np.any(c[1][:, partition.slice(i)] != 0.0)]
+             for i in range(partition.num_blocks)]
+    states = [mat @ x for _, mat, _, _ in comps]
+    f = (sum(component_value(k, z, p, s) for (k, _, p, s), z in zip(comps, states))
+         + float(lin @ x) + float(lam @ np.abs(x)))
+    trace = [f]
+    for idx in draws:
+        updates = []
+        for i in idx:
+            sl = partition.slice(int(i))
+            g = lin[sl].copy()
+            for j in touch[i]:
+                kind, mat, p, s = comps[j]
+                g += mat[:, sl].T @ component_deriv(kind, states[j], p, s)
+            w = weights[i]
+            v = x[sl] - g / w
+            new = np.sign(v) * np.maximum(np.abs(v) - lam[sl] / w, 0.0)
+            updates.append((i, sl, np.clip(new, lb[sl], ub[sl])))
+        deltas = {}
+        for i, sl, new in updates:
+            dx = new - x[sl]
+            f += float(lin[sl] @ dx) + float(lam[sl] @ (np.abs(new) - np.abs(x[sl])))
+            for j in touch[i]:
+                deltas[j] = deltas.get(j, 0.0) + comps[j][1][:, sl] @ dx
+            x[sl] = new
+        for j in sorted(deltas):
+            kind, _, p, s = comps[j]
+            old = component_value(kind, states[j], p, s)
+            states[j] = states[j] + deltas[j]
+            f += component_value(kind, states[j], p, s) - old
+        trace.append(f)
+    return x, trace

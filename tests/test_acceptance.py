@@ -138,9 +138,9 @@ def test_criterion_03_descent_lemma_and_weighted_lipschitz():
             nrm = np.linalg.norm(y)
             if nrm > 1.0:
                 y /= nrm
-            fx = problem.smooth_value_fast(x)
+            fx = problem.smooth_value(x)
             gx = problem.smooth_gradient(x)
-            lhs = problem.smooth_value_fast(x + y)
+            lhs = problem.smooth_value(x + y)
             rhs = fx + float(gx @ y) + 0.5 * problem.norm_w(y) ** 2
             worst_lemma = max(worst_lemma, lhs - rhs)
             z = rng.normal(size=problem.n) * 2.0

@@ -1,4 +1,7 @@
 import os
+import re
+
+import numpy as np
 
 from pbcd.cli import main
 
@@ -92,3 +95,46 @@ gap_rtol = 1e-3
                "--batch-sizes", "4"])
     assert rc == 0
     assert os.path.exists(os.path.join(outdir, "trace_rcd_b4_s0.csv"))
+
+
+def test_unknown_bool_in_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text("[output]\nwrite_traces = maybe\n")
+    rc = main(["solve", "--config", str(path), "--outdir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "write_traces" in capsys.readouterr().err
+
+
+def test_non_integer_worker_count_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PBCD_WORKERS", "two")
+    rc = main(["compare", "--source", "generate-lasso", "--m", "10", "--n",
+               "8", "--sparsity", "0.4", "--seeds", "0", "--batch-sizes", "2",
+               "--outdir", str(tmp_path / "cmp")])
+    assert rc == 2
+    assert "PBCD_WORKERS" in capsys.readouterr().err
+
+
+def test_optimal_start_converges_in_one_iteration(tmp_path, capsys):
+    # above lam_max the start x0 = 0 is optimal; the reference and the
+    # solver must agree on F there exactly, or the gap tolerance
+    # gap_rtol * (F(x0) - F*) is never met
+    from pbcd.experiment import ExperimentConfig, build_problem, run_experiment
+    flags = dict(source="generate-logistic", num_samples=200, n=60,
+                 sparsity=0.05, block_size=3, problem_seed=1)
+    free = build_problem(ExperimentConfig(lam=0.0, **flags)).problem
+    lam = 1.5 * float(np.max(np.abs(free.smooth_gradient(np.zeros(free.n)))))
+    result = run_experiment(ExperimentConfig(
+        lam=lam, modes=("rcd",), batch_sizes=(2,), seeds=(0,), max_iters=50,
+        outdir=str(tmp_path / "cmp"), **flags))
+    assert result.initial_gap == 0.0
+    cell, = result.cells
+    assert cell.converged and cell.iterations <= 1
+    rc = main(["solve", "--source", "generate-logistic", "--num-samples", "200",
+               "--n", "60", "--sparsity", "0.05", "--block-size", "3",
+               "--problem-seed", "1", "--lam", repr(lam), "--modes", "rcd",
+               "--batch-sizes", "2", "--seeds", "0", "--max-iters", "50",
+               "--outdir", str(tmp_path / "solve")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    iters = int(re.search(r"converged:gap after (\d+) iterations", out).group(1))
+    assert iters <= 1

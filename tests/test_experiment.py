@@ -186,3 +186,25 @@ def test_trace_mapping_norm_column_populated(tmp_path):
     trace = result.cells[0].trace
     assert np.all(np.isfinite(trace.mapping_norms))
     assert trace.mapping_norms[0] > 0.0
+
+
+def test_updates_per_dim_counts_coordinates_at_block_size_3(tmp_path):
+    cfg = ExperimentConfig(source="generate-logistic", num_samples=40, n=24,
+                           sparsity=0.2, block_size=3, lam=0.02,
+                           problem_seed=2, modes=("rcd", "rcd-coordwise"),
+                           batch_sizes=(2,), seeds=(0, 1), gap_rtol=1e-3,
+                           scheme="shuffle-partition",
+                           outdir=str(tmp_path / "out"))
+    result = run_experiment(cfg)
+    nb = result.problem.num_blocks
+    assert nb == 8
+    row, = result.summary_rows
+    for mode in cfg.modes:
+        mean = sum(c.coordinate_updates for c in result.cells
+                   if c.mode == mode) / len(cfg.seeds)
+        assert row[f"updates_per_dim_{mode.replace('-', '_')}"] == mean / nb
+    cell = result.cells[0]
+    with open(result.files[0]) as handle:
+        last = handle.read().strip().splitlines()[-1].split(",")
+    assert int(last[0]) == cell.iterations
+    assert float(last[1]) == cell.iterations * 2 / nb

@@ -5,8 +5,7 @@ from pbcd.errors import InputError
 from pbcd.generators import (dual_from_data, generate_dual, generate_lasso,
                              generate_logistic, lasso_from_matrix)
 from pbcd.matrixio import MatrixFile
-from pbcd.regularizers import L1Box, NonnegOrthant
-from pbcd.smooth import LogisticLoss
+from pbcd.smooth import LOGISTIC
 from pbcd.solver import SolverConfig, run
 
 from oracles import solve_tiny_qp
@@ -50,7 +49,9 @@ def test_lasso_objective_matches_dense_formula():
 def test_lasso_box_constraints_applied():
     gen = generate_lasso(m=6, n=5, sparsity=0.5, lam=0.3, box=(-1.0, 1.0),
                          seed=1)
-    assert all(isinstance(r, L1Box) for r in gen.problem.regs)
+    prob = gen.problem
+    assert np.all(prob.lam == 0.3)
+    assert np.all(prob.lb == -1.0) and np.all(prob.ub == 1.0)
     assert gen.problem.objective(np.full(5, 2.0)) == np.inf
 
 
@@ -79,8 +80,9 @@ def test_logistic_single_sample_unit_vector():
 
 def test_logistic_zero_lam_gives_pure_smooth():
     gen = generate_logistic(num_samples=5, n=6, sparsity=0.5, lam=0.0, seed=2)
-    from pbcd.regularizers import Zero
-    assert all(isinstance(r, Zero) for r in gen.problem.regs)
+    prob = gen.problem
+    assert np.all(prob.lam == 0.0)
+    assert np.all(prob.lb == -np.inf) and np.all(prob.ub == np.inf)
 
 
 def test_logistic_weights_recomputed_from_samples():
@@ -91,22 +93,23 @@ def test_logistic_weights_recomputed_from_samples():
         rows = np.nonzero(dense[:, i])[0]
         want = sum(np.sum(dense[j] ** 2) / 4.0 / nbar for j in rows)
         assert gen.problem.weights.diag[i] == pytest.approx(want, rel=1e-12)
-    assert all(isinstance(c, LogisticLoss) for c in gen.problem.smooth)
+    assert np.all(gen.problem.smooth.family == LOGISTIC)
 
 
 def test_dual_block_angular_degrees():
     gen = generate_dual(num_parts=6, seed=0)
     assert gen.max_components_per_block == 2
     assert gen.max_blocks_per_component == 6
-    assert all(isinstance(r, NonnegOrthant) for r in gen.problem.regs)
+    prob = gen.problem
+    assert np.all(prob.lam == 0.0)
+    assert np.all(prob.lb == 0.0) and np.all(prob.ub == np.inf)
 
 
 def test_dual_sigma_scaling():
     base = generate_dual(num_parts=4, seed=3, sigma_range=(1.0, 1.0))
     halved = generate_dual(num_parts=4, seed=3, sigma_range=(2.0, 2.0))
-    assert np.allclose([c.lipschitz for c in halved.problem.smooth],
-                       [c.lipschitz / 2.0 for c in base.problem.smooth],
-                       rtol=1e-12)
+    assert np.allclose(halved.problem.smooth.lipschitz,
+                       base.problem.smooth.lipschitz / 2.0, rtol=1e-12)
 
 
 def test_dual_optimum_matches_primal_qp_oracle():
@@ -129,9 +132,8 @@ def test_dual_linear_term_tiles_rhs():
     prob = gen.problem
     for _ in range(5):
         x = np.abs(rng.normal(size=prob.n))
-        linear = sum(float(share @ prob.partition.block(x, i))
-                     for comp in prob.smooth
-                     for i, share in zip(comp.blocks, comp.rhs_parts))
+        op = prob.smooth
+        linear = prob.smooth_value(x) - float(np.sum(op.values(op.matrix @ x)))
         assert linear == pytest.approx(float(gen.rhs @ x), rel=1e-12)
 
 

@@ -1,28 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pbcd.blocks import BlockPartition
 from pbcd.errors import InputError
+from pbcd.experiment import reference_solution
+from pbcd.generators import dual_from_data
+from pbcd.matrixio import MatrixFile
+from pbcd.problem import assemble_problem
+from pbcd.regularizers import Zero
 from pbcd.smooth import (make_logistic, make_quadratic_conjugate_dual,
                          make_quadratic_residual, spectral_norm_sq)
+from pbcd.solver import init_solver_state, step
 
 from oracles import central_diff_gradient
 
 
+def comp_problem(comp):
+    """One-component problem over the component's blocks, unit weights."""
+    sizes = np.ones(int(comp.blocks[-1]) + 1, dtype=int)
+    sizes[comp.blocks] = [p.shape[0] for p in comp.parts]
+    nb = sizes.size
+    return assemble_problem(BlockPartition.from_sizes(sizes), [comp],
+                            [Zero()] * nb, weights=np.ones(nb))
+
+
+def _embed(prob, comp, parts):
+    x = np.zeros(prob.n)
+    for i, p in zip(comp.blocks, parts):
+        x[prob.partition.slice(i)] = p
+    return x
+
+
 def comp_value(comp, parts):
-    return comp.value([np.atleast_1d(np.asarray(p, float)) for p in parts])
+    prob = comp_problem(comp)
+    return prob.smooth_value(_embed(prob, comp, parts))
 
 
 def comp_grad(comp, parts):
-    parts = [np.atleast_1d(np.asarray(p, float)) for p in parts]
-    state = comp.init_state(parts)
-    return [comp.grad_block_from_state(state, t) for t in range(len(parts))]
+    prob = comp_problem(comp)
+    x = _embed(prob, comp, parts)
+    return [prob.partial_gradient(x, int(i)) for i in comp.blocks]
+
+
+def lipschitz(comp):
+    return float(comp_problem(comp).smooth.lipschitz[0])
 
 
 # -- quadratic residual -------------------------------------------------------
 
 def test_quadratic_residual_constants():
-    assert make_quadratic_residual([0], [[2.0]], 0.0).lipschitz == 4.0
-    assert make_quadratic_residual([0, 1], [[3.0], [4.0]], 0.0).lipschitz == 25.0
+    assert lipschitz(make_quadratic_residual([0], [[2.0]], 0.0)) == 4.0
+    assert lipschitz(make_quadratic_residual([0, 1], [[3.0], [4.0]], 0.0)) == 25.0
 
 
 def test_quadratic_residual_zero_at_fit():
@@ -41,9 +71,9 @@ def test_quadratic_residual_rejects_zero_row():
 
 def test_logistic_constant_with_averaging():
     comp = make_logistic([0], [[2.0, 0.0]], 1, num_samples=1)
-    assert comp.lipschitz == pytest.approx(1.0, rel=1e-15)
+    assert lipschitz(comp) == pytest.approx(1.0, rel=1e-15)
     comp4 = make_logistic([0], [[2.0, 0.0]], 1, num_samples=4)
-    assert comp4.lipschitz == pytest.approx(0.25, rel=1e-15)
+    assert lipschitz(comp4) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_logistic_value_at_origin():
@@ -102,7 +132,7 @@ def test_dual_sigma_scales_constant():
                                         [[0.0, 0.0]])
     two = make_quadratic_conjugate_dual([0], mats, 2.0, [0.0, 0.0],
                                         [[0.0, 0.0]])
-    assert two.lipschitz == pytest.approx(one.lipschitz / 2.0, rel=1e-12)
+    assert lipschitz(two) == pytest.approx(lipschitz(one) / 2.0, rel=1e-12)
 
 
 def test_dual_rejects_bad_sigma():
@@ -118,6 +148,82 @@ def test_spectral_norm_sq_matches_svd():
             continue
         want = np.linalg.norm(mat, 2) ** 2
         assert spectral_norm_sq(mat) == pytest.approx(want, rel=1e-12)
+
+
+SPLIT = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_spectral_norm_sq_sign_cancelling_and_rank_deficient():
+    # an all-ones start is orthogonal to the top singular vector of both
+    assert spectral_norm_sq([[1.0, -1.0]] * 3) == pytest.approx(6.0, rel=1e-12)
+    assert spectral_norm_sq(SPLIT) == pytest.approx(4.0, rel=1e-12)
+
+
+def split_dual(rhs=(-0.5, 0.0, 0.0), sigma=1.0):
+    """Dual of min sigma/2 ||u||^2 s.t. SPLIT u <= rhs, one component."""
+    rows, cols = np.nonzero(SPLIT)
+    mat = MatrixFile(rows=3, cols=3, row_idx=rows, col_idx=cols,
+                     values=SPLIT[rows, cols])
+    return dual_from_data(mat, np.asarray(rhs), [sigma], [np.zeros(3)])
+
+
+def test_split_dual_weights_and_reference_optimum():
+    # primal optimum u = (-1/4, 1/4, 0) with value 1/16, so the dual
+    # minimum is -1/16
+    prob = split_dual()
+    assert prob.smooth.lipschitz[0] == pytest.approx(4.0, rel=1e-12)
+    _, fstar, ok = reference_solution(prob, tol=1e-10, max_iters=2000)
+    assert ok
+    assert fstar == pytest.approx(-0.0625, abs=1e-12)
+
+
+@st.composite
+def cancelling_matrices(draw):
+    """Small integer matrices whose rows repeat a few base rows up to sign:
+    rank deficient, and with every row summing to zero when the base rows
+    are mirrored as (b, -b)."""
+    cols = draw(st.integers(1, 3))
+    base = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols,
+                                  max_size=cols).filter(any),
+                         min_size=1, max_size=2))
+    if draw(st.booleans()):
+        base = [b + [-v for v in b] for b in base]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.sampled_from((-1, 1))),
+                          min_size=1, max_size=4))
+    mat = np.array([[sign * v for v in base[k]] for k, sign in picks], float)
+    return mat[:, np.any(mat != 0.0, axis=0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat=cancelling_matrices(), sigma=st.sampled_from((0.5, 1.0, 3.0)),
+       block=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+@example(mat=np.array([[1.0, -1.0]] * 3), sigma=1.0, block=0, seed=0)
+@example(mat=SPLIT, sigma=1.0, block=0, seed=0)
+def test_dual_constants_bound_curvature(mat, sigma, block, seed):
+    exact = float(np.linalg.eigvalsh(mat @ mat.T)[-1])
+    assert spectral_norm_sq(mat) >= exact * (1.0 - 1e-12)
+    assert spectral_norm_sq(mat.T) >= exact * (1.0 - 1e-12)
+    # the dual of min sigma/2 ||u - c||^2 s.t. A u <= rhs with A = mat':
+    # its operator is M = mat, one component, one dual block per row of A
+    a = mat.T
+    rows, cols = np.nonzero(a)
+    file = MatrixFile(rows=a.shape[0], cols=a.shape[1], row_idx=rows,
+                      col_idx=cols, values=a[rows, cols])
+    rng = np.random.default_rng(seed)
+    prob = dual_from_data(file, rng.normal(size=a.shape[0]), [sigma],
+                          [rng.normal(size=a.shape[1])])
+    assert prob.smooth.lipschitz[0] >= exact / sigma * (1.0 - 1e-12)
+    # one block step satisfies the descent inequality with that weight
+    x = np.abs(rng.normal(size=prob.n))
+    i = block % prob.num_blocks
+    g = prob.smooth_gradient(x)
+    state = init_solver_state(prob, x)
+    step(prob, state, [i])
+    d = state.x - x
+    bound = (prob.smooth_value(x) + float(g @ d)
+             + 0.5 * prob.weights.diag[i] * float(d @ d))
+    assert prob.smooth_value(state.x) <= bound + 1e-9 * (1.0 + abs(bound))
 
 
 # -- shared properties --------------------------------------------------------
@@ -168,7 +274,7 @@ def test_sampled_lipschitz_bound():
             ga = np.concatenate(comp_grad(comp, np.split(a, splits)))
             gb = np.concatenate(comp_grad(comp, np.split(b, splits)))
             lhs = np.linalg.norm(ga - gb)
-            rhs = comp.lipschitz * np.linalg.norm(a - b)
+            rhs = lipschitz(comp) * np.linalg.norm(a - b)
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
 

@@ -3,12 +3,15 @@ import copy
 import numpy as np
 import pytest
 
+from oracles import run_component_oracle
+
 from pbcd.blocks import BlockPartition
 from pbcd.errors import CacheConsistencyError, InputError
+from pbcd.generators import generate_dual, generate_lasso, generate_logistic
 from pbcd.problem import assemble_problem
 from pbcd.regularizers import L1, NonnegOrthant, Zero
-from pbcd.sampling import SamplerConfig
-from pbcd.smooth import make_quadratic_residual
+from pbcd.sampling import BlockSampler, SamplerConfig
+from pbcd.smooth import DUAL, LOGISTIC, RESIDUAL, make_quadratic_residual
 from pbcd.solver import (SolverConfig, coordwise_weights, init_solver_state,
                          run, step, verify_and_refresh_caches)
 
@@ -84,21 +87,6 @@ def test_step_incremental_objective_matches_scratch():
         idx = np.sort(rng.choice(prob.n, 4, replace=False))
         step(prob, state, idx)
         assert state.f_value == pytest.approx(prob.objective(state.x), rel=1e-10)
-
-
-def test_step_worker_counts_agree_exactly():
-    rng = np.random.default_rng(2)
-    prob = random_sparse_lasso(rng, n=20, m=25)
-    x0 = rng.normal(size=prob.n)
-    idx = np.sort(rng.choice(prob.n, 11, replace=False))
-    results = []
-    for workers in (1, 2, 3, 7):
-        state = init_solver_state(prob, x0)
-        step(prob, state, idx, workers=workers)
-        results.append((state.x.copy(), state.f_value))
-    for x, f in results[1:]:
-        assert np.array_equal(x, results[0][0])
-        assert f == results[0][1]
 
 
 def test_step_permuted_index_order_same_iterate():
@@ -255,9 +243,10 @@ def test_cache_verification_passes_and_detects_corruption():
     for _ in range(25):
         step(prob, state, np.sort(rng.choice(prob.n, 3, replace=False)))
     verify_and_refresh_caches(prob, state)
-    state.comp_states[2][0] += 1.0
+    state.z[2] += 1.0
     with pytest.raises(CacheConsistencyError) as err:
         verify_and_refresh_caches(prob, state)
+    assert err.value.diagnostics["worst_row"] == 2
     assert err.value.diagnostics["worst_component"] == 2
 
 
@@ -272,8 +261,6 @@ def test_config_validation():
                                fstar=0.0), np.zeros(1))
     with pytest.raises(InputError):
         run(prob, SolverConfig(mode="full", eps_gap=1.0), np.zeros(1))
-    with pytest.raises(InputError):
-        run(prob, SolverConfig(mode="full", workers=0), np.zeros(1))
 
 
 def test_trace_iterations_strictly_increasing():
@@ -299,15 +286,53 @@ def test_run_with_shuffle_partition_scheme():
     assert res.coordinate_updates == 80 * 3
 
 
-def test_run_parallel_workers_match_serial():
-    rng = np.random.default_rng(14)
-    prob = random_sparse_lasso(rng, n=18, m=24)
-    x0 = rng.normal(size=prob.n)
-    cfg1 = SolverConfig(mode="rcd", sampler=SamplerConfig(6, seed=21),
-                        max_iters=60, workers=1)
-    cfg3 = SolverConfig(mode="rcd", sampler=SamplerConfig(6, seed=21),
-                        max_iters=60, workers=3)
-    a = run(prob, cfg1, x0)
-    b = run(prob, cfg3, x0)
-    assert np.array_equal(a.x, b.x)
-    assert a.trace.objectives == b.trace.objectives
+# -- the vectorized step against the per-component oracle ---------------------
+
+def _oracle_instance(kind):
+    """A generated problem and its per-component view from the raw data."""
+    if kind == "lasso":
+        gen = generate_lasso(m=40, n=30, sparsity=0.15, lam=0.3,
+                             box=(-1.0, 1.0), seed=21)
+        dense = gen.matrix.to_dense()
+        comps = [(RESIDUAL, dense[j:j + 1], gen.rhs[j:j + 1], 1.0)
+                 for j in range(dense.shape[0])]
+        return gen.problem, comps, np.zeros(dense.shape[1])
+    if kind == "logistic":
+        gen = generate_logistic(num_samples=36, n=24, sparsity=0.2, lam=0.02,
+                                seed=22, block_size=3)
+        dense = gen.matrix.to_dense()
+        comps = [(LOGISTIC, dense[j:j + 1], gen.rhs[j:j + 1], float(dense.shape[0]))
+                 for j in range(dense.shape[0])]
+        return gen.problem, comps, np.zeros(dense.shape[1])
+    gen = generate_dual(num_parts=10, seed=23)
+    dense = gen.matrix.to_dense()
+    sigmas, centers = gen.extras["sigmas"], gen.extras["centers"]
+    comps = [(DUAL, dense[:, j:j + 1].T, centers[j], float(sigmas[j]))
+             for j in range(dense.shape[1])]
+    return gen.problem, comps, gen.rhs
+
+
+@pytest.mark.parametrize("kind", ["lasso", "logistic", "dual"])
+@pytest.mark.parametrize("mode", ["rcd", "rcd-coordwise", "full"])
+def test_vectorized_step_matches_per_component_oracle(kind, mode):
+    # fixed seed and iteration count, no stop rule; the tolerance covers
+    # float64 summation-order differences only
+    prob, comps, lin = _oracle_instance(kind)
+    iters, batch = 60, 4
+    sampler = None if mode == "full" else SamplerConfig(batch, seed=5)
+    res = run(prob, SolverConfig(mode=mode, sampler=sampler, max_iters=iters),
+              np.zeros(prob.n))
+    if mode == "full":
+        draws = [np.arange(prob.num_blocks)] * iters
+    else:
+        blocks = BlockSampler(sampler, prob.num_blocks)
+        draws = [blocks.draw() for _ in range(iters)]
+    weights = coordwise_weights(prob, batch) if mode == "rcd-coordwise" \
+        else prob.weights.diag
+    x, trace = run_component_oracle(comps, lin, (prob.lam, prob.lb, prob.ub),
+                                    prob.partition, weights, draws,
+                                    np.zeros(prob.n))
+    got, want = np.array(res.trace.objectives), np.array(trace)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+    assert prob.norm_w(res.x - x) <= 1e-10 * max(1.0, prob.norm_w(x))
