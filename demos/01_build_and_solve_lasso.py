@@ -19,10 +19,10 @@ print("instance")
 print(f"  rows (smooth components): {gen.matrix.rows}")
 print(f"  variables / blocks:       {problem.n}")
 print(f"  nonzeros:                 {gen.matrix.nnz}")
-print(f"  widest component (blocks per row):     {gen.max_blocks_per_component}")
-print(f"  busiest block (rows per coordinate):   {gen.max_components_per_block}")
-print(f"  step weight range: [{problem.weights.diag.min():.3f}, "
-      f"{problem.weights.diag.max():.3f}]")
+print(f"  widest component (blocks per row):     {problem.max_blocks_per_component}")
+print(f"  busiest block (rows per coordinate):   {problem.max_components_per_block}")
+print(f"  step weight range: [{problem.weights.min():.3f}, "
+      f"{problem.weights.max():.3f}]")
 
 xstar, fstar, ok = reference_solution(problem, tol=1e-10)
 print(f"\nreference optimum F* = {fstar:.10f} (converged: {ok})")

@@ -37,9 +37,9 @@ def overlap_instance(seed, n=80, wide_rows=4, width=30):
 
 problem = overlap_instance(seed=5)
 batch = 40
-print(f"widest row touches {problem.structure.max_blocks_per_component} blocks;"
-      f" busiest block sits in {problem.structure.max_components_per_block} rows")
-agg = problem.weights.diag
+print(f"widest row touches {problem.max_blocks_per_component} blocks;"
+      f" busiest block sits in {problem.max_components_per_block} rows")
+agg = problem.weights
 ref = coordwise_weights(problem, batch)
 print(f"aggregated weights:      median {np.median(agg):8.3f}  max {agg.max():8.3f}")
 print(f"scaled coordinate rule:  median {np.median(ref):8.3f}  max {ref.max():8.3f}")

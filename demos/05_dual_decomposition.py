@@ -19,9 +19,9 @@ gen = generate_dual(num_parts=12, seed=4)
 problem = gen.problem
 print(f"dual blocks: {problem.num_blocks}; components: "
       f"{problem.num_components}")
-print(f"widest component touches {problem.structure.max_blocks_per_component} "
+print(f"widest component touches {problem.max_blocks_per_component} "
       f"blocks; each block sits in at most "
-      f"{problem.structure.max_components_per_block}")
+      f"{problem.max_components_per_block}")
 
 config = SolverConfig(mode="rcd", sampler=SamplerConfig(batch_size=4, seed=9),
                       max_iters=400000, eps_mapping=1e-10, check_stride=30)

@@ -2,11 +2,12 @@
 
 Library layout:
 
-* blocks        -- partitions, incidence structure, step weights, norms
+* blocks        -- block partitions and weighted norms
 * smooth        -- the smooth part as one sparse operator M with per-row
                    families (residual, logistic, dual); component front end
 * regularizers  -- per-coordinate l1-plus-box terms with closed-form prox
-* problem       -- composite problems: one value, gradient and objective
+* problem       -- composite problems: block incidence, separability and
+                   step weights read off M; one value, gradient and objective
 * sampling      -- random block-subset generation
 * solver        -- the sampled descent iteration and reference modes
 * analysis      -- rate bounds and generalized error bound diagnostics
@@ -22,9 +23,7 @@ from .analysis import (ErrorBoundFit, RateBundle, bundle_from_reference,
                        iters_to_confidence_error_bound,
                        iters_to_confidence_sublinear, linear_rate_error_bound,
                        linear_rate_strongly_convex, sublinear_gap_bound)
-from .blocks import (BipartiteStructure, BlockPartition, BlockWeights,
-                     build_structure, compute_block_weights, weighted_norm,
-                     weighted_norm_inv)
+from .blocks import BlockPartition, weighted_norm, weighted_norm_inv
 from .errors import (CacheConsistencyError, DescentViolationError,
                      ErrorBoundWitnessError, InputError, InternalError,
                      StructureError)

@@ -63,7 +63,6 @@ def _add_solve_flags(parser):
     parser.add_argument("--gap-rtol", type=float, dest="gap_rtol")
     parser.add_argument("--ref-tol", type=float, dest="ref_tol")
     parser.add_argument("--ref-max-iters", type=int, dest="ref_max_iters")
-    parser.add_argument("--cell-workers", type=int, dest="cell_workers")
     parser.add_argument("--outdir")
     parser.add_argument("--trace-stride", type=int, dest="trace_stride")
     parser.add_argument("--no-traces", action="store_true")
@@ -77,7 +76,7 @@ def _experiment_config(args):
                  "block_size", "lam", "box_lb", "box_ub", "noise",
                  "problem_seed", "matrix_path", "rhs_path", "scheme",
                  "max_iters", "gap_rtol", "ref_tol", "ref_max_iters",
-                 "cell_workers", "outdir", "trace_stride"):
+                 "outdir", "trace_stride"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
@@ -110,8 +109,8 @@ def cmd_generate(args):
     print(f"rhs: {rhs_path}")
     print(f"blocks: {gen.problem.num_blocks}  components: "
           f"{gen.problem.num_components}")
-    print(f"max_blocks_per_component: {gen.max_blocks_per_component}")
-    print(f"max_components_per_block: {gen.max_components_per_block}")
+    print(f"max_blocks_per_component: {gen.problem.max_blocks_per_component}")
+    print(f"max_components_per_block: {gen.problem.max_components_per_block}")
     return EXIT_OK
 
 

@@ -2,10 +2,10 @@
 
 A run builds one problem, computes a reference optimal value with the
 deterministic full proximal-gradient method at tight tolerance, then solves
-the problem once per (mode, batch size, seed) cell, in parallel across
-cells.  Outputs are plain CSV: one trace file per cell, one theoretical
-bound curve file per batch size, and a summary table pairing the two
-stepsize rules' normalized coordinate-update counts.
+the problem once per (mode, batch size, seed) cell.  Outputs are plain
+CSV: one trace file per cell, one theoretical bound curve file per batch
+size, and a summary table pairing the two stepsize rules' normalized
+coordinate-update counts.
 
 All numeric CSV fields are written with shortest round-trip formatting, so
 repeated runs with the same configuration produce identical data columns;
@@ -14,20 +14,17 @@ the wall-time column is the one nondeterministic field.
 
 import configparser
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import RateBundle, sublinear_gap_bound
 from .errors import InputError
-from .generators import (generate_dual, generate_lasso,
+from .generators import (GeneratedProblem, generate_dual, generate_lasso,
                          generate_logistic, lasso_from_matrix)
 from .matrixio import load_matrix, load_vector
 from .sampling import SamplerConfig
 from .solver import SolverConfig, run
-
-WORKERS_ENV = "PBCD_WORKERS"
 
 SOURCES = ("generate-lasso", "generate-logistic", "generate-dual", "load-matrix")
 
@@ -56,7 +53,6 @@ class ExperimentConfig:
     gap_rtol: float = 1e-4         # stop when F - F* <= gap_rtol * initial gap
     ref_tol: float = 1e-10
     ref_max_iters: int = 500000
-    cell_workers: int = 1
     trace_stride: int = 1
     outdir: str = "out"
     write_traces: bool = True
@@ -64,7 +60,7 @@ class ExperimentConfig:
 
 
 def build_problem(cfg):
-    """Problem plus realized separability measures for a config."""
+    """Problem plus the data it was built from, for a config."""
     box = None
     if cfg.box_lb is not None or cfg.box_ub is not None:
         lb = cfg.box_lb if cfg.box_lb is not None else -np.inf
@@ -88,12 +84,7 @@ def build_problem(cfg):
         rhs = load_vector(cfg.rhs_path)
         problem = lasso_from_matrix(mat, rhs, cfg.lam, box=box,
                                     block_size=cfg.block_size)
-        from .generators import GeneratedProblem
-        gen = GeneratedProblem(
-            problem=problem,
-            max_blocks_per_component=problem.structure.max_blocks_per_component,
-            max_components_per_block=problem.structure.max_components_per_block,
-            matrix=mat, rhs=rhs, extras={})
+        gen = GeneratedProblem(problem=problem, matrix=mat, rhs=rhs, extras={})
     else:
         raise InputError(f"unknown problem source {cfg.source!r}; "
                          f"choose one of {SOURCES}")
@@ -221,26 +212,15 @@ def run_experiment(cfg):
     for mode in cfg.modes:
         if mode not in ("rcd", "rcd-coordwise", "full"):
             raise InputError(f"unknown mode {mode!r}")
-    raw = os.environ.get(WORKERS_ENV)
-    try:
-        cell_workers = cfg.cell_workers if raw is None else int(raw)
-    except ValueError:
-        raise InputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     gen = build_problem(cfg)
     problem = gen.problem
     for batch in cfg.batch_sizes:
         if not 1 <= batch <= problem.num_blocks:
             raise InputError(f"batch size {batch} outside [1, {problem.num_blocks}]")
     base = reference_and_start(problem, cfg)
-    cell_specs = [(mode, batch, seed) for mode in cfg.modes
-                  for batch in cfg.batch_sizes for seed in cfg.seeds]
-
-    if cell_workers > 1:
-        with ThreadPoolExecutor(max_workers=cell_workers) as pool:
-            cells = list(pool.map(lambda spec: run_cell(problem, cfg, base, *spec),
-                                  cell_specs))
-    else:
-        cells = [run_cell(problem, cfg, base, *spec) for spec in cell_specs]
+    cells = [run_cell(problem, cfg, base, mode, batch, seed)
+             for mode in cfg.modes for batch in cfg.batch_sizes
+             for seed in cfg.seeds]
 
     os.makedirs(cfg.outdir, exist_ok=True)
     files = []
@@ -265,8 +245,8 @@ def run_experiment(cfg):
         density = gen.matrix.nnz / (gen.matrix.rows * gen.matrix.cols)
         row = {
             "n": problem.n, "m": gen.matrix.rows, "sparsity": density,
-            "max_components_per_block": gen.max_components_per_block,
-            "max_blocks_per_component": gen.max_blocks_per_component,
+            "max_components_per_block": problem.max_components_per_block,
+            "max_blocks_per_component": problem.max_blocks_per_component,
             "batch_size": batch, "fstar": base.fstar,
         }
         for mode in cfg.modes:
@@ -295,14 +275,13 @@ _SECTIONS = {
                 "block_size", "lam", "box_lb", "box_ub", "noise",
                 "problem_seed", "matrix_path", "rhs_path"),
     "solve": ("seeds", "modes", "batch_sizes", "scheme", "max_iters",
-              "gap_rtol", "ref_tol", "ref_max_iters", "cell_workers"),
+              "gap_rtol", "ref_tol", "ref_max_iters"),
     "output": ("outdir", "trace_stride", "write_traces",
                "trace_mapping_norm"),
 }
 
 _INT_FIELDS = {"m", "n", "num_samples", "num_parts", "block_size",
-               "problem_seed", "max_iters", "ref_max_iters", "cell_workers",
-               "trace_stride"}
+               "problem_seed", "max_iters", "ref_max_iters", "trace_stride"}
 _FLOAT_FIELDS = {"sparsity", "lam", "box_lb", "box_ub", "noise", "gap_rtol",
                  "ref_tol"}
 _BOOL_FIELDS = {"write_traces", "trace_mapping_norm"}

@@ -3,7 +3,7 @@
 Generators produce reproducible random instances of the three supported
 problem shapes (constrained lasso, sparse logistic regression, and the dual
 of a linearly constrained strongly convex quadratic primal) together with
-the realized separability measures.  Builders turn coordinate-format data
+the data they were built from.  Builders turn coordinate-format data
 straight into the smooth operator and regularizer arrays of a problem, so
 generated and loaded instances share one path.
 """
@@ -22,8 +22,6 @@ from .smooth import DUAL, LOGISTIC, RESIDUAL, SmoothOperator
 @dataclass
 class GeneratedProblem:
     problem: object
-    max_blocks_per_component: int
-    max_components_per_block: int
     matrix: MatrixFile
     rhs: np.ndarray
     extras: dict
@@ -91,7 +89,7 @@ def generate_lasso(m, n, sparsity, lam=1.0, box=None, seed=0, block_size=1,
 
     Each row draws a Binomial(n, sparsity) support (redrawn while empty) with
     standard normal values; observations are the planted signal's image plus
-    Gaussian noise.  Reports the realized separability measures.
+    Gaussian noise.
     """
     if m < 1 or n < 1:
         raise InputError("dimensions must be >= 1")
@@ -118,8 +116,6 @@ def generate_lasso(m, n, sparsity, lam=1.0, box=None, seed=0, block_size=1,
     problem = lasso_from_matrix(mat, rhs, lam, box=box, block_size=block_size)
     return GeneratedProblem(
         problem=problem,
-        max_blocks_per_component=problem.structure.max_blocks_per_component,
-        max_components_per_block=problem.structure.max_components_per_block,
         matrix=mat, rhs=rhs, extras={"planted": planted})
 
 
@@ -164,8 +160,6 @@ def generate_logistic(num_samples, n, sparsity, lam=0.1, seed=0, block_size=1,
     problem = logistic_from_matrix(mat, labels, lam, block_size=block_size)
     return GeneratedProblem(
         problem=problem,
-        max_blocks_per_component=problem.structure.max_blocks_per_component,
-        max_components_per_block=problem.structure.max_components_per_block,
         matrix=mat, rhs=labels.astype(float), extras={"separator": separator})
 
 
@@ -252,7 +246,5 @@ def generate_dual(num_parts, seed=0, block_size=1, coupling_scale=1.0,
     problem = dual_from_data(mat, rhs, sigmas, centers, block_size=block_size)
     return GeneratedProblem(
         problem=problem,
-        max_blocks_per_component=problem.structure.max_blocks_per_component,
-        max_components_per_block=problem.structure.max_components_per_block,
         matrix=mat, rhs=rhs,
         extras={"sigmas": sigmas, "centers": centers})

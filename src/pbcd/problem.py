@@ -17,9 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import regularizers as reg
-from .blocks import (BlockWeights, build_structure, compute_block_weights,
-                     weighted_norm, weighted_norm_inv)
-from .errors import InputError
+from .blocks import weighted_norm, weighted_norm_inv
+from .errors import InputError, StructureError
 from .smooth import SmoothOperator
 
 
@@ -40,12 +39,17 @@ class CompositeProblem:
     partition : BlockPartition
     smooth : SmoothOperator over the partition's n coordinates
     lam, lb, ub : per-coordinate l1 weights and box bounds (scalars broadcast)
-    weights : BlockWeights or array, optional
+    weights : array, optional
         Override for the per-block step weights.  By default the weights
         aggregate the component Lipschitz constants (w_i = sum of the
         constants of the components touching block i), which is the rule
         all rate guarantees assume; pass an override only when a custom
         descent inequality is known to hold.
+
+    The block incidence is read off M's stored entries (explicit zeros
+    included): component j touches block i when some row of j has an entry
+    in a column of i.  It gives the two separability measures
+    max_blocks_per_component (omega) and max_components_per_block.
     """
 
     def __init__(self, partition, smooth, lam=0.0, lb=-np.inf, ub=np.inf,
@@ -53,6 +57,8 @@ class CompositeProblem:
         n, nb = partition.n, partition.num_blocks
         if smooth.matrix.shape[1] != n:
             raise InputError("smooth operator and partition disagree on dimension")
+        if smooth.num_components < 1:
+            raise InputError("need at least one smooth component")
         lam, lb, ub = (np.broadcast_to(np.asarray(a, dtype=float), (n,)).copy()
                        for a in (lam, lb, ub))
         if not np.all(lam >= 0.0):
@@ -62,22 +68,37 @@ class CompositeProblem:
         self.partition = partition
         self.smooth = smooth
         self.lam, self.lb, self.ub = lam, lb, ub
-        pairs = np.unique(smooth.component[smooth.matrix.indices] * nb
-                          + partition.block_of[smooth.entry_cols])
-        self.structure = build_structure(zip(pairs // nb, pairs % nb), nb,
-                                         smooth.num_components)
+        # unique (component, block) pairs, sorted by component
+        comp, blk = np.divmod(np.unique(
+            smooth.component[smooth.matrix.indices] * nb
+            + partition.block_of[smooth.entry_cols]), nb)
+        blocks_per_comp = np.bincount(comp, minlength=smooth.num_components)
+        if np.any(blocks_per_comp == 0):
+            raise StructureError(
+                f"component {int(np.argmin(blocks_per_comp))} touches no block")
+        comps_per_block = np.bincount(blk, minlength=nb)
+        self.max_blocks_per_component = int(blocks_per_comp.max())
+        self.max_components_per_block = int(comps_per_block.max())
         if weights is None:
-            self.weights = compute_block_weights(self.structure, smooth.lipschitz)
-            self.weights_overridden = False
+            lip = smooth.lipschitz
+            bad = np.flatnonzero(~(np.isfinite(lip) & (lip > 0.0)))
+            if bad.size:
+                raise InputError(
+                    f"component {bad[0]} has non-positive Lipschitz constant "
+                    f"{lip[bad[0]]!r}; drop degenerate components before assembly")
+            if np.any(comps_per_block == 0):
+                raise StructureError(
+                    f"block {int(np.argmin(comps_per_block))} is touched by no "
+                    "component, weight 0")
+            # bincount adds in pair order, so each block sums in component order
+            weights = np.bincount(blk, weights=lip[comp], minlength=nb)
         else:
-            diag = weights.diag if isinstance(weights, BlockWeights) else \
-                np.asarray(weights, dtype=float)
-            if diag.shape != (nb,):
+            weights = np.array(weights, dtype=float)
+            if weights.shape != (nb,):
                 raise InputError("weight override needs one value per block")
-            if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
+            if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
                 raise InputError("weight override entries must be positive and finite")
-            self.weights = BlockWeights(diag=diag.copy())
-            self.weights_overridden = True
+        self.weights = weights
 
     # -- basic shapes -------------------------------------------------------
 
@@ -91,11 +112,11 @@ class CompositeProblem:
 
     @property
     def num_components(self):
-        return self.structure.num_components
+        return self.smooth.num_components
 
     @cached_property
     def coord_weights(self):
-        return self.partition.expand(self.weights.diag)
+        return self.partition.expand(self.weights)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -58,16 +58,14 @@ class BlockSampler:
         tau = self.config.batch_size
         n = self.num_blocks
         if self.config.scheme == "uniform-subset":
-            perm = self._perm
-            swaps = []
-            for t in range(tau):
-                r = int(self._rng.integers(t, n))
-                perm[t], perm[r] = perm[r], perm[t]
-                swaps.append((t, r))
-            out = np.sort(perm[:tau].copy())
-            for t, r in reversed(swaps):
-                perm[t], perm[r] = perm[r], perm[t]
-            return out
+            # partial Fisher-Yates on the identity: step t swaps positions t
+            # and ranks[t] >= t; `moved` holds the displaced entries
+            ranks = self._rng.integers(np.arange(tau), n).tolist()
+            moved, out = {}, []
+            for t, r in enumerate(ranks):
+                out.append(moved.get(r, r))
+                moved[r] = moved.get(t, t)
+            return np.sort(np.array(out, dtype=np.int64))
         if self._cell == 0:
             self._rng.shuffle(self._perm)
         out = np.sort(self._perm[self._cell * tau:(self._cell + 1) * tau].copy())

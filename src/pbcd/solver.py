@@ -33,6 +33,8 @@ MODES = ("rcd", "rcd-coordwise", "full")
 # Tolerances for the solver's own self-checks.
 DESCENT_TOL = 1e-10
 CACHE_RTOL = 1e-8
+# Iterations between full recomputations of the incremental caches.
+RECOMPUTE_STRIDE = 1000
 
 
 @dataclass
@@ -46,7 +48,6 @@ class SolverConfig:
     trace_stride: int = 1
     trace_mapping_norm: bool = False
     check_stride: int = None
-    recompute_stride: int = 1000
 
 
 class Trace:
@@ -117,7 +118,7 @@ def init_solver_state(problem, x0):
 
 def coordwise_weights(problem, batch_size):
     """Reference per-block weights: min(max blocks per component, batch) * L_i."""
-    beta = min(problem.structure.max_blocks_per_component, int(batch_size))
+    beta = min(problem.max_blocks_per_component, int(batch_size))
     return float(beta) * coordinatewise_constants(problem)
 
 
@@ -136,7 +137,7 @@ def step(problem, state, idx, weights=None, enforce_descent=True):
         return state
     if int(idx.min()) < 0 or int(idx.max()) >= problem.num_blocks:
         raise InputError("block index out of range in update set")
-    wdiag = problem.weights.diag if weights is None else weights
+    wdiag = problem.weights if weights is None else weights
     part, op = problem.partition, problem.smooth
     cols = part.coords(idx)
     g, rows, vals, local = problem.columns_gradient(state.z, cols)
@@ -221,7 +222,7 @@ def run(problem, config, x0):
         weights = coordwise_weights(problem, batch)
         enforce = False
     else:
-        weights = problem.weights.diag
+        weights = problem.weights
         enforce = True
     check_stride = config.check_stride
     if check_stride is None:
@@ -245,7 +246,7 @@ def run(problem, config, x0):
         step(problem, state, idx, weights=weights, enforce_descent=enforce)
         state.k += 1
         state.coordinate_updates += int(idx.size)
-        if state.k % config.recompute_stride == 0:
+        if state.k % RECOMPUTE_STRIDE == 0:
             verify_and_refresh_caches(problem, state)
         if state.k % config.trace_stride == 0 or state.k == config.max_iters:
             record(state.k, idx.size)

@@ -3,8 +3,9 @@
 These deliberately avoid the closed forms under test: gradients come from
 central differences, scalar proximal values from golden-section search,
 tiny constrained quadratic programs from exhaustive active-set enumeration,
-and the smooth part and the sampled step from a per-component evaluation
-that keeps one cache per component.
+the smooth part and the sampled step from a per-component evaluation that
+keeps one cache per component, and the block incidence from a dense
+component x block table filled one stored entry at a time.
 """
 
 import itertools
@@ -74,6 +75,25 @@ def scalar_prox_oracle(lam, lb, ub, v, w):
     lo2 = max(lo, u0 - 2e-6)
     hi2 = min(hi, u0 + 2e-6)
     return golden_minimize(recentered, lo2, hi2, 1e-13)
+
+
+def dense_incidence(op, partition):
+    """Component x block table: (j, i) is True when a row of component j has
+    a stored entry of M (explicit zeros included) in a column of block i."""
+    inc = np.zeros((op.num_components, partition.num_blocks), dtype=bool)
+    mat = op.matrix
+    for i in range(partition.num_blocks):
+        for c in range(partition.offsets[i], partition.offsets[i + 1]):
+            for k in range(mat.indptr[c], mat.indptr[c + 1]):
+                inc[op.component[mat.indices[k]], i] = True
+    return inc
+
+
+def incidence_weights(inc, lipschitz):
+    """w_i = sum of the constants of the components touching block i, added
+    in component order."""
+    return [sum(float(lipschitz[j]) for j in range(inc.shape[0]) if inc[j, i])
+            for i in range(inc.shape[1])]
 
 
 def all_subsets_of_size(n, k):

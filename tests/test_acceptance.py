@@ -340,8 +340,8 @@ def test_criterion_10_stepsize_rule_trend():
     details = []
     for s in range(5):
         problem = overlap_instance(900 + s)
-        wide = problem.structure.max_blocks_per_component
-        percoord = problem.structure.max_components_per_block
+        wide = problem.max_blocks_per_component
+        percoord = problem.max_components_per_block
         assert percoord <= 5 < wide
         batch = 30
         assert batch >= wide

@@ -105,15 +105,6 @@ def test_unknown_bool_in_config_exits_2(tmp_path, capsys):
     assert "write_traces" in capsys.readouterr().err
 
 
-def test_non_integer_worker_count_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PBCD_WORKERS", "two")
-    rc = main(["compare", "--source", "generate-lasso", "--m", "10", "--n",
-               "8", "--sparsity", "0.4", "--seeds", "0", "--batch-sizes", "2",
-               "--outdir", str(tmp_path / "cmp")])
-    assert rc == 2
-    assert "PBCD_WORKERS" in capsys.readouterr().err
-
-
 def test_optimal_start_converges_in_one_iteration(tmp_path, capsys):
     # above lam_max the start x0 = 0 is optimal; the reference and the
     # solver must agree on F there exactly, or the gap tolerance

@@ -46,8 +46,8 @@ def test_summary_contains_structure_measures(tmp_path):
     result = run_experiment(cfg)
     gen = build_problem(cfg)
     for row in result.summary_rows:
-        assert row["max_components_per_block"] == gen.max_components_per_block
-        assert row["max_blocks_per_component"] == gen.max_blocks_per_component
+        assert row["max_components_per_block"] == gen.problem.max_components_per_block
+        assert row["max_blocks_per_component"] == gen.problem.max_blocks_per_component
         assert row["fstar"] == pytest.approx(result.fstar, rel=1e-12)
 
 
@@ -148,21 +148,10 @@ def test_config_file_unknown_keys_rejected(tmp_path):
         load_config(path2)
     with pytest.raises(InputError, match="cannot read"):
         load_config(tmp_path / "missing.ini")
-
-
-def test_parallel_cells_match_serial(tmp_path, monkeypatch):
-    cfg_serial = small_config(tmp_path / "s", seeds=(0, 1, 2),
-                              batch_sizes=(3,), write_traces=False)
-    cfg_par = small_config(tmp_path / "p", seeds=(0, 1, 2), batch_sizes=(3,),
-                           cell_workers=3, write_traces=False)
-    a = run_experiment(cfg_serial)
-    b = run_experiment(cfg_par)
-    assert a.summary_rows == b.summary_rows
-    # environment variable overrides the configured cell worker count
-    monkeypatch.setenv("PBCD_WORKERS", "2")
-    c = run_experiment(small_config(tmp_path / "e", seeds=(0, 1, 2),
-                                    batch_sizes=(3,), write_traces=False))
-    assert c.summary_rows == a.summary_rows
+    path3 = tmp_path / "bad3.ini"
+    path3.write_text("[solve]\ncell_workers = 2\n")
+    with pytest.raises(InputError, match="unknown key"):
+        load_config(path3)
 
 
 def test_reference_path_matches_per_block_full_mode():

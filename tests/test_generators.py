@@ -13,16 +13,16 @@ from oracles import solve_tiny_qp
 
 def test_lasso_dense_incidence():
     gen = generate_lasso(m=4, n=3, sparsity=1.0, lam=0.5, seed=0)
-    assert gen.max_blocks_per_component == 3
-    assert gen.max_components_per_block == 4
+    assert gen.problem.max_blocks_per_component == 3
+    assert gen.problem.max_components_per_block == 4
 
 
 def test_lasso_diagonal_incidence():
     mat = MatrixFile(rows=3, cols=3, row_idx=[0, 1, 2], col_idx=[0, 1, 2],
                      values=[1.0, 2.0, 3.0])
     prob = lasso_from_matrix(mat, np.zeros(3), lam=0.1)
-    assert prob.structure.max_blocks_per_component == 1
-    assert prob.structure.max_components_per_block == 1
+    assert prob.max_blocks_per_component == 1
+    assert prob.max_components_per_block == 1
 
 
 def test_lasso_rejects_infeasible_sparsity():
@@ -61,21 +61,21 @@ def test_lasso_weights_match_row_norms():
     for i in range(8):
         rows = np.nonzero(dense[:, i])[0]
         want = sum(np.sum(dense[j] ** 2) for j in rows)
-        assert gen.problem.weights.diag[i] == pytest.approx(want, rel=1e-12)
+        assert gen.problem.weights[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_lasso_desk_scale_realized_degrees():
     # at benchmark scale the realized separability measures land in the tens
     gen = generate_lasso(m=900, n=1000, sparsity=0.02, lam=1.0, seed=7)
-    assert 10 <= gen.max_blocks_per_component <= 60
-    assert 10 <= gen.max_components_per_block <= 60
+    assert 10 <= gen.problem.max_blocks_per_component <= 60
+    assert 10 <= gen.problem.max_components_per_block <= 60
 
 
 def test_logistic_single_sample_unit_vector():
     from pbcd.generators import logistic_from_matrix
     mat = MatrixFile(rows=1, cols=1, row_idx=[0], col_idx=[0], values=[1.0])
     prob = logistic_from_matrix(mat, [1], lam=0.0)
-    assert prob.structure.max_blocks_per_component == 1
+    assert prob.max_blocks_per_component == 1
 
 
 def test_logistic_zero_lam_gives_pure_smooth():
@@ -92,14 +92,14 @@ def test_logistic_weights_recomputed_from_samples():
     for i in range(6):
         rows = np.nonzero(dense[:, i])[0]
         want = sum(np.sum(dense[j] ** 2) / 4.0 / nbar for j in rows)
-        assert gen.problem.weights.diag[i] == pytest.approx(want, rel=1e-12)
+        assert gen.problem.weights[i] == pytest.approx(want, rel=1e-12)
     assert np.all(gen.problem.smooth.family == LOGISTIC)
 
 
 def test_dual_block_angular_degrees():
     gen = generate_dual(num_parts=6, seed=0)
-    assert gen.max_components_per_block == 2
-    assert gen.max_blocks_per_component == 6
+    assert gen.problem.max_components_per_block == 2
+    assert gen.problem.max_blocks_per_component == 6
     prob = gen.problem
     assert np.all(prob.lam == 0.0)
     assert np.all(prob.lb == 0.0) and np.all(prob.ub == np.inf)
@@ -157,5 +157,5 @@ def test_generators_deterministic_per_seed():
 
 def test_benchmark_scale_degrees_in_the_tens():
     gen = generate_lasso(m=9000, n=10000, sparsity=2e-3, lam=10.0, seed=81)
-    assert 15 <= gen.max_blocks_per_component <= 80
-    assert 15 <= gen.max_components_per_block <= 80
+    assert 15 <= gen.problem.max_blocks_per_component <= 80
+    assert 15 <= gen.problem.max_components_per_block <= 80

@@ -147,7 +147,8 @@ def test_locality_of_block_perturbation():
     for i in range(prob.num_blocks):
         y = x.copy()
         y[prob.partition.slice(i)] += 1.0
-        touched = set(int(j) for j in prob.structure.components_of[i])
+        block_entries = prob.smooth.matrix[:, prob.partition.slice(i)]
+        touched = set(prob.smooth.component[block_entries.indices].tolist())
         vx, vy = component_values(prob, x), component_values(prob, y)
         for j in range(prob.num_components):
             if j not in touched:
@@ -197,7 +198,7 @@ def test_proximal_step_hand_values():
     part = BlockPartition.from_sizes([1])
     prob = assemble_problem(part, [make_quadratic_residual([0], [[2.0]], 0.0)],
                             [Zero()])
-    assert prob.weights.diag[0] == 4.0
+    assert prob.weights[0] == 4.0
     assert prob.proximal_step(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-16)
     # scalar lasso: gradient step lands at 0, threshold keeps it there
     part1 = BlockPartition.from_sizes([1])
@@ -277,8 +278,7 @@ def test_weight_override_validation():
     with pytest.raises(InputError):
         assemble_problem(part, smooth, [Zero(), Zero()], weights=[1.0, 0.0])
     prob = assemble_problem(part, smooth, [Zero(), Zero()], weights=[3.0, 5.0])
-    assert prob.weights_overridden
-    assert np.array_equal(prob.weights.diag, [3.0, 5.0])
+    assert np.array_equal(prob.weights, [3.0, 5.0])
 
 
 def test_project_domain():

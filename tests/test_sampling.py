@@ -13,6 +13,25 @@ def test_full_batch_always_everything():
         assert np.array_equal(s.draw(), [0, 1, 2, 3])
 
 
+# First uniform-subset draws of seed 5 on 10 blocks (and of seed 9 at batch
+# 17 of 37), as produced by one rng.integers(t, n) call per rank; drawing
+# all ranks in one call must consume the Philox stream the same way.
+PINNED_DRAWS = {
+    (10, 1, 5): [[8], [8], [1], [9]],
+    (10, 3, 5): [[0, 3, 8], [5, 8, 9], [1, 2, 6], [2, 5, 6]],
+    (10, 10, 5): [list(range(10))] * 4,
+    (37, 17, 9): [[0, 1, 3, 4, 8, 10, 14, 16, 19, 21, 26, 27, 28, 29, 32, 34, 36],
+                  [2, 3, 4, 6, 7, 8, 10, 12, 15, 16, 21, 22, 27, 28, 29, 30, 36]],
+}
+
+
+@pytest.mark.parametrize("n,tau,seed", sorted(PINNED_DRAWS))
+def test_uniform_subset_pinned_draws(n, tau, seed):
+    s = BlockSampler(SamplerConfig(tau, seed=seed), n)
+    want = PINNED_DRAWS[(n, tau, seed)]
+    assert [s.draw().tolist() for _ in want] == want
+
+
 def test_same_seed_same_sequence():
     for scheme in ("uniform-subset", "shuffle-partition"):
         a = BlockSampler(SamplerConfig(2, scheme, seed=42), 6)

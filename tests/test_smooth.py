@@ -222,7 +222,7 @@ def test_dual_constants_bound_curvature(mat, sigma, block, seed):
     step(prob, state, [i])
     d = state.x - x
     bound = (prob.smooth_value(x) + float(g @ d)
-             + 0.5 * prob.weights.diag[i] * float(d @ d))
+             + 0.5 * prob.weights[i] * float(d @ d))
     assert prob.smooth_value(state.x) <= bound + 1e-9 * (1.0 + abs(bound))
 
 

@@ -215,13 +215,13 @@ def test_coordwise_reference_weights_exceed_aggregated_on_overlap():
     smooth += [make_quadratic_residual([i], [[1.0]], 0.0) for i in range(n)]
     prob = assemble_problem(part, smooth, [Zero()] * n)
     cw = coordwise_weights(prob, batch_size=n)
-    assert np.all(cw > prob.weights.diag)
+    assert np.all(cw > prob.weights)
 
 
 def test_coordwise_weights_coincide_for_diagonal_problems():
     prob = diag_quadratic([1.0, 2.0, 3.0])
     for batch in (1, 2, 3):
-        assert np.allclose(coordwise_weights(prob, batch), prob.weights.diag,
+        assert np.allclose(coordwise_weights(prob, batch), prob.weights,
                            rtol=1e-14)
 
 
@@ -328,7 +328,7 @@ def test_vectorized_step_matches_per_component_oracle(kind, mode):
         blocks = BlockSampler(sampler, prob.num_blocks)
         draws = [blocks.draw() for _ in range(iters)]
     weights = coordwise_weights(prob, batch) if mode == "rcd-coordwise" \
-        else prob.weights.diag
+        else prob.weights
     x, trace = run_component_oracle(comps, lin, (prob.lam, prob.lb, prob.ub),
                                     prob.partition, weights, draws,
                                     np.zeros(prob.n))
