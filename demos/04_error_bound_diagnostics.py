@@ -12,20 +12,19 @@ constant of twice the inverse modulus (and no quadratic term) suffices.
 
 import numpy as np
 
-from pbcd import (RateBundle, assemble_problem, estimate_strong_convexity,
-                  fit_error_bound_constants, generate_lasso,
-                  iters_to_confidence_error_bound, linear_rate_error_bound,
-                  make_quadratic_conjugate_dual, reference_solution)
-from pbcd.blocks import BlockPartition
-from pbcd.regularizers import NonnegOrthant
+from pbcd import (CompositeProblem, MatrixFile, RateBundle, dual_from_data,
+                  estimate_strong_convexity, fit_error_bound_constants,
+                  generate_lasso, iters_to_confidence_error_bound,
+                  linear_rate_error_bound, reference_solution)
 
 print("== part 1: corner problem, classical bound fails ==")
-part = BlockPartition.from_sizes([1, 1])
-comp = make_quadratic_conjugate_dual([0, 1], mats=[[[1.0]], [[-1.0]]],
-                                     sigma=1.0, center=[0.0],
-                                     rhs_parts=[[1.0], [1.0]])
-problem = assemble_problem(part, [comp], [NonnegOrthant(), NonnegOrthant()],
-                           weights=[1.0, 1.0])
+# dual of min u^2/2 s.t. u <= 1, -u <= 1: one dual component with column
+# (1, -1) and linear term x0 + x1 on the nonnegative quadrant; unit weights
+# replace the aggregated (2, 2)
+dual = dual_from_data(MatrixFile(2, 1, [0, 1], [0, 0], [1.0, -1.0]),
+                      [1.0, 1.0], [1.0], [[0.0]])
+problem = CompositeProblem(dual.partition, dual.smooth, dual.lam, dual.lb,
+                           dual.ub, weights=[1.0, 1.0])
 print("objective: (x0 - x1)^2 / 2 + x0 + x1 over the nonnegative quadrant; "
       "optimum at the origin")
 

@@ -4,14 +4,14 @@ Library layout:
 
 * blocks        -- block partitions and weighted norms
 * smooth        -- the smooth part as one sparse operator M with per-row
-                   families (residual, logistic, dual); component front end
-* regularizers  -- per-coordinate l1-plus-box terms with closed-form prox
+                   families (residual, logistic, dual)
+* regularizers  -- per-coordinate l1-plus-box prox and value
 * problem       -- composite problems: block incidence, separability and
                    step weights read off M; one value, gradient and objective
 * sampling      -- random block-subset generation
 * solver        -- the sampled descent iteration and reference modes
 * analysis      -- rate bounds and generalized error bound diagnostics
-* generators    -- reproducible benchmark instances
+* generators    -- problems from coordinate data, and reproducible instances
 * matrixio      -- coordinate matrix / vector text files
 * experiment    -- orchestration and CSV output
 * cli           -- command-line entry point
@@ -35,13 +35,9 @@ from .generators import (GeneratedProblem, dual_from_data, generate_dual,
                          lasso_from_matrix, logistic_from_matrix)
 from .matrixio import (MatrixFile, load_matrix, load_vector, save_matrix,
                        save_vector)
-from .problem import CompositeProblem, assemble_problem
-from .regularizers import (Box, L1, L1Box, NonnegOrthant, Zero, prox_block,
-                           value_block)
+from .problem import CompositeProblem
 from .sampling import BlockSampler, SamplerConfig
-from .smooth import (Component, SmoothOperator, coordinatewise_constants,
-                     make_logistic, make_quadratic_conjugate_dual,
-                     make_quadratic_residual, spectral_norm_sq)
+from .smooth import SmoothOperator, coordinatewise_constants, spectral_norm_sq
 from .solver import (SolveResult, SolverConfig, SolverState, Trace,
                      coordwise_weights, init_solver_state, run, step,
                      verify_and_refresh_caches)

@@ -19,9 +19,9 @@ from .analysis import (RateBundle, error_bound_chain, fit_error_bound_constants,
                        linear_rate_strongly_convex, sublinear_gap_bound)
 from .errors import (CacheConsistencyError, DescentViolationError,
                      ErrorBoundWitnessError, InputError, StructureError)
-from .experiment import (ExperimentConfig, build_problem, load_config,
-                         reference_and_start, reference_solution, run_cell,
-                         run_experiment, write_csv, write_trace)
+from .experiment import (ExperimentConfig, _parse_field, build_problem,
+                         load_config, reference_and_start, reference_solution,
+                         run_cell, run_experiment, write_csv, write_trace)
 from .matrixio import save_matrix, save_vector
 
 EXIT_OK = 0
@@ -80,12 +80,10 @@ def _experiment_config(args):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
-    for name in ("seeds", "batch_sizes"):
+    for name in ("seeds", "batch_sizes", "modes"):
         v = getattr(args, name, None)
         if v is not None:
-            overrides[name] = tuple(int(s) for s in str(v).split(",") if s.strip())
-    if getattr(args, "modes", None) is not None:
-        overrides["modes"] = tuple(s.strip() for s in args.modes.split(","))
+            overrides[name] = _parse_field(name, v, "--" + name.replace("_", "-"))
     if getattr(args, "no_traces", False):
         overrides["write_traces"] = False
     if getattr(args, "no_mapping_norm", False):

@@ -24,7 +24,7 @@ from .generators import (GeneratedProblem, generate_dual, generate_lasso,
                          generate_logistic, lasso_from_matrix)
 from .matrixio import load_matrix, load_vector
 from .sampling import SamplerConfig
-from .solver import SolverConfig, run
+from .solver import MODES, SolverConfig, run
 
 SOURCES = ("generate-lasso", "generate-logistic", "generate-dual", "load-matrix")
 
@@ -210,7 +210,7 @@ def run_experiment(cfg):
     """Run the full comparison grid for one problem; returns the result and
     writes CSV outputs under cfg.outdir."""
     for mode in cfg.modes:
-        if mode not in ("rcd", "rcd-coordwise", "full"):
+        if mode not in MODES:
             raise InputError(f"unknown mode {mode!r}")
     gen = build_problem(cfg)
     problem = gen.problem
@@ -325,10 +325,11 @@ def _parse_field(key, raw, path="<config>"):
             if raw.lower() in _BOOL_WORDS:
                 return _BOOL_WORDS[raw.lower()]
             raise ValueError(f"{raw!r} is not one of {', '.join(_BOOL_WORDS)}")
-        if key in _LIST_INT_FIELDS:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if key in _LIST_STR_FIELDS:
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
+        if key in _LIST_INT_FIELDS or key in _LIST_STR_FIELDS:
+            items = tuple(v.strip() for v in raw.split(",") if v.strip())
+            if not items:
+                raise ValueError("empty list")
+            return tuple(map(int, items)) if key in _LIST_INT_FIELDS else items
     except ValueError as exc:
         raise InputError(f"{path}: bad value for {key!r}: {exc}") from None
     return raw

@@ -4,9 +4,12 @@ F(x) = sum_r phi_r((M x)_r) + <lin, x> + sum_c psi_c(x_c),
 
 with the smooth part stored as one sparse operator (see pbcd.smooth) and the
 regularizer as three per-coordinate arrays lam, lb, ub (see
-pbcd.regularizers).  Value, gradient, partial gradient and objective each
-have one implementation here, shared by the solver, the reference solve and
-the diagnostics.
+pbcd.regularizers).  Every problem is built one way: a SmoothOperator (from
+SmoothOperator.from_entries, or from the pbcd.generators builders
+lasso_from_matrix, logistic_from_matrix and dual_from_data) and the three
+arrays go into CompositeProblem, which validates them.  Value, gradient,
+partial gradient and objective each have one implementation here, shared by
+the solver, the reference solve and the diagnostics.
 
 The object is immutable after construction and all evaluation methods are
 read-only, so one instance can be shared freely across threads.
@@ -38,7 +41,8 @@ class CompositeProblem:
     ----------
     partition : BlockPartition
     smooth : SmoothOperator over the partition's n coordinates
-    lam, lb, ub : per-coordinate l1 weights and box bounds (scalars broadcast)
+    lam, lb, ub : per-coordinate l1 weights and box bounds (scalars broadcast);
+        lam finite and >= 0, lb <= ub, lb < +inf, ub > -inf, no NaN
     weights : array, optional
         Override for the per-block step weights.  By default the weights
         aggregate the component Lipschitz constants (w_i = sum of the
@@ -59,10 +63,15 @@ class CompositeProblem:
             raise InputError("smooth operator and partition disagree on dimension")
         if smooth.num_components < 1:
             raise InputError("need at least one smooth component")
-        lam, lb, ub = (np.broadcast_to(np.asarray(a, dtype=float), (n,)).copy()
-                       for a in (lam, lb, ub))
-        if not np.all(lam >= 0.0):
-            raise InputError("l1 weight must be >= 0")
+        try:
+            lam, lb, ub = (np.broadcast_to(np.asarray(a, dtype=float), (n,)).copy()
+                           for a in (lam, lb, ub))
+        except ValueError:
+            raise InputError(f"lam, lb and ub need a scalar or {n} values") from None
+        if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+            raise InputError("l1 weight must be finite and >= 0")
+        if not (np.all(lb < np.inf) and np.all(ub > -np.inf)):
+            raise InputError("box bounds must not be NaN, lb = +inf or ub = -inf")
         if np.any(lb > ub):
             raise InputError("box lower bound exceeds upper bound")
         self.partition = partition
@@ -84,8 +93,9 @@ class CompositeProblem:
             bad = np.flatnonzero(~(np.isfinite(lip) & (lip > 0.0)))
             if bad.size:
                 raise InputError(
-                    f"component {bad[0]} has non-positive Lipschitz constant "
-                    f"{lip[bad[0]]!r}; drop degenerate components before assembly")
+                    f"component {bad[0]} has Lipschitz constant "
+                    f"{float(lip[bad[0]])!r}, not positive and finite; drop "
+                    "degenerate components before assembly")
             if np.any(comps_per_block == 0):
                 raise StructureError(
                     f"block {int(np.argmin(comps_per_block))} is touched by no "
@@ -204,44 +214,3 @@ class CompositeProblem:
     def norm_w_inv(self, x):
         return weighted_norm_inv(np.asarray(x, dtype=float), self.coord_weights)
 
-
-def assemble_problem(partition, smooth, regs, weights=None):
-    """Compile front-end components (pbcd.smooth.make_*) and one regularizer
-    spec per block (pbcd.regularizers) into a CompositeProblem."""
-    if len(regs) != partition.num_blocks:
-        raise InputError("need exactly one regularizer per block")
-    rows, cols, vals, rowdata = [], [], [], []
-    lin = np.zeros(partition.n)
-    r0 = 0
-    for j, comp in enumerate(smooth):
-        if comp.blocks[-1] >= partition.num_blocks:
-            raise InputError(f"component {j} reads a block beyond the partition")
-        nrows = comp.param.size
-        for t, (i, part) in enumerate(zip(comp.blocks, comp.parts)):
-            size, start = int(partition.block_sizes[i]), int(partition.offsets[i])
-            if part.shape != (size, nrows):
-                raise InputError(
-                    f"component {j}: coefficient part {t} has shape "
-                    f"{part.shape}, block {i} needs {(size, nrows)}")
-            coord, row = np.divmod(np.arange(part.size), nrows)
-            rows.append(r0 + row)
-            cols.append(start + coord)
-            vals.append(part.ravel())
-            if comp.lin is not None:
-                if comp.lin[t].shape != (size,):
-                    raise InputError(
-                        f"component {j}: rhs share {t} needs {size} entries")
-                lin[start:start + size] += comp.lin[t]
-        rowdata.append((np.full(nrows, comp.family), comp.param,
-                        np.full(nrows, comp.scale), np.full(nrows, j)))
-        r0 += nrows
-    if not rowdata:
-        raise InputError("need at least one smooth component")
-    family, param, scale, component = (np.concatenate(a) for a in zip(*rowdata))
-    op = SmoothOperator.from_entries(partition.n, np.concatenate(rows),
-                                     np.concatenate(cols), np.concatenate(vals),
-                                     family, param, scale, component, lin)
-    lam, lb, ub = (np.concatenate(a) for a in zip(*(
-        reg.coordinate_params(spec, int(size))
-        for spec, size in zip(regs, partition.block_sizes))))
-    return CompositeProblem(partition, op, lam, lb, ub, weights=weights)

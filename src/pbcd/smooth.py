@@ -23,9 +23,8 @@ dual component.  All rows of a component share a family and a scale, so
 phi'' <= 1/d with curvature divisor d = 1, 4s, s per family, and component
 j's gradient Lipschitz constant is ||M_j||_2^2 / d_j, M_j its rows.
 
-The make_* functions are the validated front end that builds components one
-at a time; problem.assemble_problem compiles them into the same operator
-that the generators build straight from coordinate arrays.
+SmoothOperator.from_entries is the one constructor; pbcd.generators feeds it
+the coordinate arrays of lasso, logistic and dual data.
 """
 
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ def spectral_norm_sq(mat):
         mat = mat[:, None]
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.norm(mat, 2)) ** 2
+    return float(np.square(np.linalg.norm(mat, 2)))
 
 
 def _phi(code, z, p, s):
@@ -186,12 +185,14 @@ class SmoothOperator:
         return norms / div
 
 
+@np.errstate(over="ignore")
 def grouped_norm_sq(keys, rows, cols, vals, num_groups):
     """Squared spectral norm of the submatrix formed by each key's entries.
 
     A group whose entries share one row or one column is a vector, whose
     norm is the root of its sum of squares; other groups go through
-    spectral_norm_sq on their dense submatrix.
+    spectral_norm_sq on their dense submatrix.  A norm too large for a
+    float comes out as inf, which CompositeProblem rejects.
     """
     out = np.zeros(num_groups)
     if keys.size == 0:
@@ -235,76 +236,3 @@ def coordinatewise_constants(problem):
     div[op.component + 1] = op.divisor
     return np.bincount(groups % nb, weights=norms / div[groups // nb],
                        minlength=nb)
-
-
-@dataclass(frozen=True)
-class Component:
-    """One validated smooth component, before compilation into M.
-
-    parts[t] is the (block size x rows) slice of M' on blocks[t]; lin, when
-    present, holds this component's share of the linear term per block.
-    """
-
-    family: int
-    blocks: np.ndarray
-    parts: tuple
-    param: np.ndarray
-    scale: float
-    lin: tuple = None
-
-
-def _block_parts(blocks, parts, name, ndim):
-    blocks = np.asarray(blocks, dtype=np.int64)
-    if blocks.ndim != 1 or blocks.size == 0:
-        raise InputError(f"{name}: need at least one block index")
-    if np.any(np.diff(blocks) <= 0):
-        raise InputError(f"{name}: block indices must be sorted and unique")
-    if len(parts) != blocks.size:
-        raise InputError(f"{name}: one coefficient part per block required")
-    parts = tuple(np.asarray(p, dtype=float).reshape(-1, 1) if ndim == 1
-                  else np.atleast_2d(np.asarray(p, dtype=float)) for p in parts)
-    if not any(np.any(p != 0.0) for p in parts):
-        raise InputError(f"{name} built from all-zero coefficients")
-    return blocks, parts
-
-
-def make_quadratic_residual(blocks, coeffs, rhs):
-    """Component 0.5 * (a'x - rhs)^2 for one data row a of a lasso objective."""
-    blocks, parts = _block_parts(blocks, coeffs, "quadratic residual", 1)
-    return Component(RESIDUAL, blocks, parts, np.array([float(rhs)]), 1.0)
-
-
-def make_logistic(blocks, coeffs, label, num_samples):
-    """Component log(1 + exp(-label a'x)) / num_samples for one sample a."""
-    if label not in (-1, 1):
-        raise InputError("logistic label must be -1 or +1")
-    if num_samples < 1:
-        raise InputError("sample count must be >= 1")
-    blocks, parts = _block_parts(blocks, coeffs, "logistic sample", 1)
-    return Component(LOGISTIC, blocks, parts, np.array([float(label)]),
-                     float(num_samples))
-
-
-def make_quadratic_conjugate_dual(blocks, mats, sigma, center, rhs_parts):
-    """Dual summand of a strongly convex quadratic primal term.
-
-    Minimization form of one term of the dual of
-        min sum_j sigma_j/2 ||u_j - center_j||^2  s.t.  A u <= rhs:
-    with z = A'x restricted to this component's blocks,
-
-        f(x) = ||z||^2 / (2 sigma) - <center, z> + <x, rhs_part>.
-
-    `mats[t]` is the (block_size x inner_dim) slice of this component's
-    column block of A for blocks[t]; `rhs_parts[t]` is that block's share of
-    the constraint right-hand side.
-    """
-    if not sigma > 0.0:
-        raise InputError("strong convexity parameter sigma must be > 0")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    blocks, parts = _block_parts(blocks, mats, "dual component", 2)
-    rhs_parts = tuple(np.atleast_1d(np.asarray(r, dtype=float)) for r in rhs_parts)
-    if len(rhs_parts) != blocks.size:
-        raise InputError("one matrix slice and rhs share per block required")
-    if any(p.shape[1] != center.size for p in parts):
-        raise InputError("matrix slices must share the conjugate dimension")
-    return Component(DUAL, blocks, parts, center, float(sigma), rhs_parts)

@@ -5,7 +5,10 @@ central differences, scalar proximal values from golden-section search,
 tiny constrained quadratic programs from exhaustive active-set enumeration,
 the smooth part and the sampled step from a per-component evaluation that
 keeps one cache per component, and the block incidence from a dense
-component x block table filled one stored entry at a time.
+component x block table filled one stored entry at a time.  Each test writes
+its per-component tuples itself; dense_operator turns them into the operator
+under test, and the value, gradient and step oracles never read that
+operator back.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from pbcd.smooth import LOGISTIC, RESIDUAL
+from pbcd.smooth import LOGISTIC, RESIDUAL, SmoothOperator
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -157,18 +160,19 @@ def component_deriv(kind, z, p, s):
     return z / s - p
 
 
-def dense_components(specs, partition):
-    """Dense per-component view and linear term of make_* component specs."""
-    comps, lin = [], np.zeros(partition.n)
-    for c in specs:
-        mat = np.zeros((c.param.size, partition.n))
-        for t, i in enumerate(c.blocks):
-            sl = partition.slice(i)
-            mat[:, sl] = c.parts[t].T
-            if c.lin is not None:
-                lin[sl] += c.lin[t]
-        comps.append((c.family, mat, c.param, c.scale))
-    return comps, lin
+def dense_operator(comps, lin):
+    """SmoothOperator holding the nonzeros of per-component dense tuples
+    (family, rows x n matrix, per-row parameters, scale), for building the
+    problem under test from the same data the oracle reads."""
+    mats = [np.atleast_2d(np.asarray(mat, dtype=float)) for _, mat, _, _ in comps]
+    stacked, sizes = np.vstack(mats), [mat.shape[0] for mat in mats]
+    rows, cols = np.nonzero(stacked)
+    return SmoothOperator.from_entries(
+        len(lin), rows, cols, stacked[rows, cols],
+        np.repeat([c[0] for c in comps], sizes),
+        np.concatenate([np.atleast_1d(c[2]) for c in comps]),
+        np.repeat([float(c[3]) for c in comps], sizes),
+        np.repeat(np.arange(len(comps)), sizes), lin)
 
 
 def value_and_gradient(comps, lin, x):

@@ -20,7 +20,7 @@ from pbcd.experiment import reference_solution
 from pbcd.generators import (generate_dual, generate_lasso, generate_logistic,
                              lasso_from_matrix)
 from pbcd.matrixio import MatrixFile
-from pbcd.regularizers import L1, Box, L1Box, NonnegOrthant, Zero
+from pbcd.regularizers import prox
 from pbcd.sampling import BlockSampler, SamplerConfig
 from pbcd.solver import SolverConfig, init_solver_state, run, step
 
@@ -188,7 +188,6 @@ def test_criterion_05_prox_matches_golden_section_oracle():
     rng = np.random.default_rng(10)
     kinds = ["zero", "l1", "box", "nonneg", "l1box"]
     worst = 0.0
-    from pbcd.regularizers import prox_block
     for kind in kinds:
         for _ in range(1000):
             lam = float(rng.uniform(0.0, 2.0))
@@ -197,16 +196,14 @@ def test_criterion_05_prox_matches_golden_section_oracle():
             v = float(rng.uniform(-3.0, 3.0))
             w = float(rng.uniform(0.25, 4.0))
             if kind == "zero":
-                spec, lam, lo, hi = Zero(), 0.0, -np.inf, np.inf
+                lam, lo, hi = 0.0, -np.inf, np.inf
             elif kind == "l1":
-                spec, lo, hi = L1(lam), -np.inf, np.inf
+                lo, hi = -np.inf, np.inf
             elif kind == "box":
-                spec, lam = Box(lo, hi), 0.0
+                lam = 0.0
             elif kind == "nonneg":
-                spec, lam, lo, hi = NonnegOrthant(), 0.0, 0.0, np.inf
-            else:
-                spec = L1Box(lam, lo, hi)
-            got = prox_block(spec, [v], w)[0]
+                lam, lo, hi = 0.0, 0.0, np.inf
+            got = prox(np.array([v]), lam, lo, hi, w)[0]
             want = scalar_prox_oracle(lam, lo, hi, v, w)
             worst = max(worst, abs(got - want))
     check(5, "closed-form prox equals golden-section oracle on 10^3 "

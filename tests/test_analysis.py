@@ -8,11 +8,9 @@ from pbcd.analysis import (RateBundle, bundle_from_reference,
                            iters_to_confidence_sublinear,
                            linear_rate_error_bound,
                            linear_rate_strongly_convex, sublinear_gap_bound)
-from pbcd.blocks import BlockPartition
 from pbcd.errors import ErrorBoundWitnessError, InputError
-from pbcd.problem import assemble_problem
-from pbcd.regularizers import L1, Zero
-from pbcd.smooth import make_logistic, make_quadratic_residual
+from pbcd.generators import lasso_from_matrix, logistic_from_matrix
+from pbcd.matrixio import MatrixFile
 from pbcd.solver import SolverConfig, run
 
 from test_problem import corner_problem
@@ -204,14 +202,10 @@ def test_error_bound_chain_validation():
 # -- strong convexity estimation ----------------------------------------------
 
 def quad_problem(mat, lam=0.0):
-    n = mat.shape[1]
-    part = BlockPartition.from_sizes([1] * n)
-    smooth = []
-    for row in mat:
-        nz = np.nonzero(row)[0]
-        smooth.append(make_quadratic_residual(nz, [[row[i]] for i in nz], 0.0))
-    regs = [L1(lam) if lam else Zero() for _ in range(n)]
-    return assemble_problem(part, smooth, regs)
+    """0.5 ||mat x||^2 + lam ||x||_1, one residual row per row of mat."""
+    rows, cols = np.nonzero(mat)
+    file = MatrixFile(mat.shape[0], mat.shape[1], rows, cols, mat[rows, cols])
+    return lasso_from_matrix(file, np.zeros(mat.shape[0]), lam)
 
 
 def test_strong_convexity_matches_dense_eigensolve():
@@ -234,8 +228,7 @@ def test_strong_convexity_singular_returns_zero():
 
 
 def test_strong_convexity_rejects_logistic():
-    part = BlockPartition.from_sizes([1])
-    prob = assemble_problem(part, [make_logistic([0], [[1.0]], 1, 1)], [Zero()])
+    prob = logistic_from_matrix(MatrixFile(1, 1, [0], [0], [1.0]), [1], 0.0)
     with pytest.raises(InputError):
         estimate_strong_convexity(prob)
 

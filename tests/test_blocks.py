@@ -113,9 +113,15 @@ def test_weights_reject_nonpositive():
     # an explicit zero touches block 1 but gives component 1 no curvature
     with pytest.raises(InputError, match="component 1"):
         entries_problem([(0, 0, 1.0), (1, 1, 0.0)], num_blocks=2)
-    # a squared norm that overflows is not a usable constant either
-    with np.errstate(over="ignore"), pytest.raises(InputError, match="component 1"):
+    # a squared norm that overflows is not a usable constant either, for a
+    # one-row component and for the dense spectral norm of a two-row one
+    with pytest.raises(InputError, match="component 1"):
         entries_problem([(0, 0, 1.0), (1, 1, 1e200)], num_blocks=2)
+    op = SmoothOperator.from_entries(2, [0, 0, 1, 1], [0, 1, 0, 1],
+                                     [1e200, 1.0, 1.0, 2.0], np.full(2, RESIDUAL),
+                                     np.zeros(2), np.ones(2), [0, 0])
+    with pytest.raises(InputError, match="component 0"):
+        CompositeProblem(BlockPartition.uniform(2, 1), op)
 
 
 def test_weights_reject_untouched_block():

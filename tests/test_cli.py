@@ -2,6 +2,7 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 from pbcd.cli import main
 
@@ -103,6 +104,27 @@ def test_unknown_bool_in_config_exits_2(tmp_path, capsys):
     rc = main(["solve", "--config", str(path), "--outdir", str(tmp_path / "o")])
     assert rc == 2
     assert "write_traces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, ini, key", [
+    (["compare", "--seeds", "1.5"], None, "seeds"),
+    (["compare", "--batch-sizes", ","], None, "batch_sizes"),
+    (["compare", "--seeds", ","], None, "seeds"),
+    (["compare", "--modes", " , "], None, "modes"),
+    (["solve", "--seeds", ","], None, "seeds"),
+    (["solve"], "[solve]\nseeds =\n", "seeds"),
+], ids=["compare-float-seed", "compare-empty-batch-sizes", "compare-empty-seeds",
+        "compare-empty-modes", "solve-empty-seeds", "config-empty-seeds"])
+def test_bad_list_value_exits_2(tmp_path, capsys, argv, ini, key):
+    argv = argv + ["--m", "6", "--n", "5", "--sparsity", "0.5",
+                   "--outdir", str(tmp_path / "o")]
+    if ini is not None:
+        path = tmp_path / "exp.ini"
+        path.write_text(ini)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_optimal_start_converges_in_one_iteration(tmp_path, capsys):

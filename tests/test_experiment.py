@@ -68,16 +68,19 @@ def test_trace_csv_deterministic_data_columns(tmp_path):
     ra = run_experiment(cfg_a)
     rb = run_experiment(cfg_b)
 
-    def data_columns(path):
+    def read(path):
         with open(path) as handle:
-            lines = handle.read().strip().splitlines()
+            return handle.read()
+
+    def data_columns(path):
+        lines = read(path).strip().splitlines()
         # drop the wall-time column (the single nondeterministic field)
         return [",".join(line.split(",")[:-1]) for line in lines]
 
     for pa, pb in zip(sorted(ra.files), sorted(rb.files)):
         assert os.path.basename(pa) == os.path.basename(pb)
         if os.path.basename(pa).startswith(("summary", "bounds")):
-            assert open(pa).read() == open(pb).read()
+            assert read(pa) == read(pb)
         else:
             assert data_columns(pa) == data_columns(pb)
 

@@ -3,12 +3,12 @@ import pytest
 
 from pbcd.blocks import BlockPartition
 from pbcd.errors import InputError
-from pbcd.problem import assemble_problem
-from pbcd.regularizers import Box, L1, NonnegOrthant, Zero
-from pbcd.smooth import (make_logistic, make_quadratic_conjugate_dual,
-                         make_quadratic_residual)
+from pbcd.generators import dual_from_data, lasso_from_matrix, logistic_from_matrix
+from pbcd.matrixio import MatrixFile
+from pbcd.problem import CompositeProblem
+from pbcd.smooth import DUAL, LOGISTIC, RESIDUAL
 
-from oracles import central_diff_gradient, dense_components, value_and_gradient
+from oracles import central_diff_gradient, dense_operator, value_and_gradient
 
 
 def component_values(prob, x):
@@ -18,11 +18,15 @@ def component_values(prob, x):
                        minlength=prob.num_components)
 
 
+def scalar_lasso(coeff, lam, box=None):
+    """0.5 * (coeff * x)^2 + lam |x| on one coordinate."""
+    return lasso_from_matrix(MatrixFile(1, 1, [0], [0], [coeff]), [0.0], lam,
+                             box=box)
+
+
 def identity_lasso(lam=1.0, rhs=(0.0, 0.0)):
-    part = BlockPartition.from_sizes([1, 1])
-    smooth = [make_quadratic_residual([0], [[1.0]], rhs[0]),
-              make_quadratic_residual([1], [[1.0]], rhs[1])]
-    return assemble_problem(part, smooth, [L1(lam), L1(lam)])
+    return lasso_from_matrix(MatrixFile(2, 2, [0, 1], [0, 1], [1.0, 1.0]),
+                             list(rhs), lam)
 
 
 def corner_problem():
@@ -32,26 +36,23 @@ def corner_problem():
     quadratic conjugate) whose linear term supplies x0 + x1.  Unit weights
     are an explicit override; the aggregated rule would give (2, 2).
     """
-    part = BlockPartition.from_sizes([1, 1])
-    comp = make_quadratic_conjugate_dual(
-        [0, 1], mats=[[[1.0]], [[-1.0]]], sigma=1.0, center=[0.0],
-        rhs_parts=[[1.0], [1.0]])
-    return assemble_problem(part, [comp], [NonnegOrthant(), NonnegOrthant()],
-                            weights=[1.0, 1.0])
+    dual = dual_from_data(MatrixFile(2, 1, [0, 1], [0, 0], [1.0, -1.0]),
+                          [1.0, 1.0], [1.0], [[0.0]])
+    return CompositeProblem(dual.partition, dual.smooth, dual.lam, dual.lb,
+                            dual.ub, weights=[1.0, 1.0])
 
 
 def random_lasso(rng, n=8, m=10, lam=0.5, block_sizes=None):
+    """m residual rows, each on a random set of blocks of the partition."""
     part = BlockPartition.from_sizes(block_sizes or [1] * n)
-    smooth = []
+    comps = []
     for _ in range(m):
         nblocks = int(rng.integers(1, part.num_blocks + 1))
-        blocks = np.sort(rng.choice(part.num_blocks, nblocks, replace=False))
-        coeffs = [rng.normal(size=int(part.block_sizes[i])) for i in blocks]
-        if all(np.all(c == 0.0) for c in coeffs):
-            continue
-        smooth.append(make_quadratic_residual(blocks, coeffs, float(rng.normal())))
-    regs = [L1(lam) for _ in range(part.num_blocks)]
-    return assemble_problem(part, smooth, regs)
+        row = np.zeros(part.n)
+        for i in np.sort(rng.choice(part.num_blocks, nblocks, replace=False)):
+            row[part.slice(i)] = rng.normal(size=int(part.block_sizes[i]))
+        comps.append((RESIDUAL, row, [float(rng.normal())], 1.0))
+    return CompositeProblem(part, dense_operator(comps, np.zeros(part.n)), lam)
 
 
 def test_objective_identity_lasso_hand_value():
@@ -68,9 +69,7 @@ def test_objective_at_known_minimizer():
 
 
 def test_objective_indicator_violation_is_inf():
-    part = BlockPartition.from_sizes([1])
-    prob = assemble_problem(part, [make_quadratic_residual([0], [[1.0]], 0.0)],
-                            [Box(0.0, 1.0)])
+    prob = scalar_lasso(1.0, 0.0, box=(0.0, 1.0))
     assert prob.objective(np.array([2.0])) == np.inf
 
 
@@ -88,12 +87,10 @@ def test_partial_gradient_hand_value():
 
 
 def test_partial_gradient_logistic_at_origin():
-    part = BlockPartition.from_sizes([1, 1])
     for m in (1, 4):
-        prob = assemble_problem(
-            part, [make_logistic([0], [[1.0]], 1, num_samples=m)],
-            [Zero(), Zero()], weights=[1.0, 1.0])
-        g = prob.partial_gradient(np.zeros(2), 0)
+        prob = logistic_from_matrix(MatrixFile(1, 1, [0], [0], [1.0]), [1],
+                                    0.0, num_samples=m)
+        g = prob.partial_gradient(np.zeros(1), 0)
         assert g[0] == pytest.approx(-1.0 / (2.0 * m), rel=1e-14)
 
 
@@ -110,20 +107,23 @@ def test_full_gradient_is_concatenated_partials():
 
 def test_fast_gradient_matches_definitional():
     rng = np.random.default_rng(1)
+    # blocks {0, 1}, {2}, {3, 4}: a residual row on blocks 0 and 2, a
+    # logistic sample on blocks 0 and 1, and a two-row dual component on
+    # blocks 1 and 2 whose linear term lives there too
     part = BlockPartition.from_sizes([2, 1, 2])
-    smooth = [
-        make_quadratic_residual([0, 2], [rng.normal(size=2), rng.normal(size=2)],
-                                0.3),
-        make_logistic([0, 1], [rng.normal(size=2), rng.normal(size=1)], -1, 2),
-        make_quadratic_conjugate_dual(
-            [1, 2], mats=[rng.normal(size=(1, 2)), rng.normal(size=(2, 2))],
-            sigma=1.3, center=rng.normal(size=2),
-            rhs_parts=[rng.normal(size=1), rng.normal(size=2)]),
-    ]
-    prob = assemble_problem(part, smooth, [Zero()] * 3)
+    res, logi, dual, lin = (np.zeros((1, 5)), np.zeros((1, 5)),
+                            np.zeros((2, 5)), np.zeros(5))
+    res[0, [0, 1, 3, 4]] = np.r_[rng.normal(size=2), rng.normal(size=2)]
+    logi[0, :3] = np.r_[rng.normal(size=2), rng.normal(size=1)]
+    dual[:, 2:] = np.vstack([rng.normal(size=(1, 2)), rng.normal(size=(2, 2))]).T
+    center = rng.normal(size=2)
+    lin[2:] = np.r_[rng.normal(size=1), rng.normal(size=2)]
+    comps = [(RESIDUAL, res, np.array([0.3]), 1.0),
+             (LOGISTIC, logi, np.array([-1.0]), 2.0), (DUAL, dual, center, 1.3)]
+    prob = CompositeProblem(part, dense_operator(comps, lin))
     for _ in range(10):
         x = rng.normal(size=prob.n)
-        va, a = value_and_gradient(*dense_components(smooth, part), x)
+        va, a = value_and_gradient(comps, lin, x)
         b = prob.smooth_gradient(x)
         assert np.allclose(a, b, rtol=0, atol=1e-12 * (1 + np.abs(a).max()))
         vb = prob.smooth_value(x)
@@ -180,12 +180,11 @@ def test_weighted_gradient_lipschitz_random_pairs():
 
 def test_prox_nonexpansive_in_weighted_norm():
     rng = np.random.default_rng(6)
+    # blocks {0}, {1, 2}, {3}: l1, a box and the nonnegative orthant
     part = BlockPartition.from_sizes([1, 2, 1])
-    smooth = [make_quadratic_residual([0, 1, 2],
-                                      [rng.normal(size=1), rng.normal(size=2),
-                                       rng.normal(size=1)], 0.1)]
-    prob = assemble_problem(part, smooth,
-                            [L1(0.7), Box(-0.5, 0.5), NonnegOrthant()])
+    op = dense_operator([(RESIDUAL, rng.normal(size=4), [0.1], 1.0)], np.zeros(4))
+    prob = CompositeProblem(part, op, [0.7, 0.0, 0.0, 0.0],
+                            [-np.inf, -0.5, -0.5, 0.0], [np.inf, 0.5, 0.5, np.inf])
     for _ in range(300):
         a = rng.normal(size=prob.n) * 3.0
         b = rng.normal(size=prob.n) * 3.0
@@ -195,15 +194,11 @@ def test_prox_nonexpansive_in_weighted_norm():
 
 def test_proximal_step_hand_values():
     # quadratic with matched weight reaches the minimizer in one step
-    part = BlockPartition.from_sizes([1])
-    prob = assemble_problem(part, [make_quadratic_residual([0], [[2.0]], 0.0)],
-                            [Zero()])
+    prob = scalar_lasso(2.0, 0.0)
     assert prob.weights[0] == 4.0
     assert prob.proximal_step(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-16)
     # scalar lasso: gradient step lands at 0, threshold keeps it there
-    part1 = BlockPartition.from_sizes([1])
-    lasso = assemble_problem(part1, [make_quadratic_residual([0], [[1.0]], 0.0)],
-                             [L1(1.0)])
+    lasso = scalar_lasso(1.0, 1.0)
     assert lasso.proximal_step(np.array([3.0]))[0] == 0.0
 
 
@@ -270,21 +265,35 @@ def test_proximal_step_optimality_inclusion():
 
 
 def test_weight_override_validation():
-    part = BlockPartition.from_sizes([1, 1])
-    smooth = [make_quadratic_residual([0], [[1.0]], 0.0),
-              make_quadratic_residual([1], [[1.0]], 0.0)]
+    base = identity_lasso(lam=0.0)
     with pytest.raises(InputError):
-        assemble_problem(part, smooth, [Zero(), Zero()], weights=[1.0])
+        CompositeProblem(base.partition, base.smooth, weights=[1.0])
     with pytest.raises(InputError):
-        assemble_problem(part, smooth, [Zero(), Zero()], weights=[1.0, 0.0])
-    prob = assemble_problem(part, smooth, [Zero(), Zero()], weights=[3.0, 5.0])
+        CompositeProblem(base.partition, base.smooth, weights=[1.0, 0.0])
+    prob = CompositeProblem(base.partition, base.smooth, weights=[3.0, 5.0])
     assert np.array_equal(prob.weights, [3.0, 5.0])
 
 
+@pytest.mark.parametrize("arrays", [
+    {"lam": [1.0, 2.0]}, {"lb": [0.0, 1.0]}, {"ub": np.ones(5)},
+    {"lam": np.nan}, {"lam": np.inf}, {"lam": -0.1},
+    {"lb": np.nan}, {"ub": [0.0, np.nan, 0.0, 0.0]},
+    {"lb": np.inf}, {"ub": -np.inf},
+    {"lb": 1.0, "ub": 0.0}, {"lb": [0.0, 2.0, 0.0, 0.0], "ub": 1.0},
+], ids=["lam-length", "lb-length", "ub-length", "lam-nan", "lam-inf",
+        "lam-negative", "lb-nan", "ub-nan",
+        "lb-plus-inf", "ub-minus-inf", "lb-above-ub", "lb-above-ub-coordinate"])
+def test_regularizer_arrays_validated(arrays):
+    base = random_lasso(np.random.default_rng(10), n=4, m=5)
+    with pytest.raises(InputError):
+        CompositeProblem(base.partition, base.smooth, **arrays)
+
+
 def test_project_domain():
-    part = BlockPartition.from_sizes([1, 1, 1])
-    smooth = [make_quadratic_residual([0, 1, 2], [[1.0], [1.0], [1.0]], 0.0)]
-    prob = assemble_problem(part, smooth,
-                            [Box(0.0, 1.0), NonnegOrthant(), L1(1.0)])
+    # a box, the nonnegative orthant and a plain l1 term
+    op = dense_operator([(RESIDUAL, np.ones(3), [0.0], 1.0)], np.zeros(3))
+    prob = CompositeProblem(BlockPartition.from_sizes([1, 1, 1]), op,
+                            [0.0, 0.0, 1.0], [0.0, 0.0, -np.inf],
+                            [1.0, np.inf, np.inf])
     got = prob.project_domain(np.array([5.0, -2.0, -7.0]))
     assert np.array_equal(got, [1.0, 0.0, -7.0])

@@ -8,136 +8,128 @@ from pbcd.errors import InputError
 from pbcd.experiment import reference_solution
 from pbcd.generators import dual_from_data
 from pbcd.matrixio import MatrixFile
-from pbcd.problem import assemble_problem
-from pbcd.regularizers import Zero
-from pbcd.smooth import (make_logistic, make_quadratic_conjugate_dual,
-                         make_quadratic_residual, spectral_norm_sq)
+from pbcd.problem import CompositeProblem
+from pbcd.smooth import (DUAL, LOGISTIC, RESIDUAL, SmoothOperator,
+                         spectral_norm_sq)
 from pbcd.solver import init_solver_state, step
 
-from oracles import central_diff_gradient
+from oracles import central_diff_gradient, dense_operator
 
 
-def comp_problem(comp):
-    """One-component problem over the component's blocks, unit weights."""
-    sizes = np.ones(int(comp.blocks[-1]) + 1, dtype=int)
-    sizes[comp.blocks] = [p.shape[0] for p in comp.parts]
-    nb = sizes.size
-    return assemble_problem(BlockPartition.from_sizes(sizes), [comp],
-                            [Zero()] * nb, weights=np.ones(nb))
+def comp_problem(comp, lin=None):
+    """Problem of one component (family, rows x n matrix, parameters, scale)
+    over scalar blocks, unit weights."""
+    n = np.atleast_2d(comp[1]).shape[1]
+    lin = np.zeros(n) if lin is None else np.asarray(lin, dtype=float)
+    return CompositeProblem(BlockPartition.from_sizes([1] * n),
+                            dense_operator([comp], lin), weights=np.ones(n))
 
 
-def _embed(prob, comp, parts):
-    x = np.zeros(prob.n)
-    for i, p in zip(comp.blocks, parts):
-        x[prob.partition.slice(i)] = p
-    return x
+def comp_value(comp, x, lin=None):
+    return comp_problem(comp, lin).smooth_value(np.asarray(x, dtype=float))
 
 
-def comp_value(comp, parts):
-    prob = comp_problem(comp)
-    return prob.smooth_value(_embed(prob, comp, parts))
-
-
-def comp_grad(comp, parts):
-    prob = comp_problem(comp)
-    x = _embed(prob, comp, parts)
-    return [prob.partial_gradient(x, int(i)) for i in comp.blocks]
+def comp_grad(comp, x, lin=None):
+    return comp_problem(comp, lin).smooth_gradient(np.asarray(x, dtype=float))
 
 
 def lipschitz(comp):
     return float(comp_problem(comp).smooth.lipschitz[0])
 
 
+def one_entry_operator(family, val, param, scale):
+    """A one-row, one-column operator built straight from its entry."""
+    return SmoothOperator.from_entries(1, [0], [0], [val], [family], [param],
+                                       [scale], [0])
+
+
+def one(v):
+    return np.array([float(v)])
+
+
 # -- quadratic residual -------------------------------------------------------
 
 def test_quadratic_residual_constants():
-    assert lipschitz(make_quadratic_residual([0], [[2.0]], 0.0)) == 4.0
-    assert lipschitz(make_quadratic_residual([0, 1], [[3.0], [4.0]], 0.0)) == 25.0
+    assert lipschitz((RESIDUAL, [[2.0]], one(0.0), 1.0)) == 4.0
+    assert lipschitz((RESIDUAL, [[3.0, 4.0]], one(0.0), 1.0)) == 25.0
 
 
 def test_quadratic_residual_zero_at_fit():
-    comp = make_quadratic_residual([0, 1], [[1.0], [1.0]], 1.0)
-    assert comp_value(comp, [[1.0], [0.0]]) == 0.0
-    for g in comp_grad(comp, [[1.0], [0.0]]):
-        assert np.all(g == 0.0)
+    comp = (RESIDUAL, [[1.0, 1.0]], one(1.0), 1.0)
+    assert comp_value(comp, [1.0, 0.0]) == 0.0
+    assert np.all(comp_grad(comp, [1.0, 0.0]) == 0.0)
 
 
 def test_quadratic_residual_rejects_zero_row():
-    with pytest.raises(InputError):
-        make_quadratic_residual([0], [[0.0]], 1.0)
+    # an explicit zero entry reads block 0 but gives no curvature
+    op = one_entry_operator(RESIDUAL, 0.0, 1.0, 1.0)
+    with pytest.raises(InputError, match="Lipschitz constant 0.0"):
+        CompositeProblem(BlockPartition.from_sizes([1]), op)
 
 
 # -- logistic -----------------------------------------------------------------
 
 def test_logistic_constant_with_averaging():
-    comp = make_logistic([0], [[2.0, 0.0]], 1, num_samples=1)
+    comp = (LOGISTIC, [[2.0, 0.0]], one(1.0), 1.0)
     assert lipschitz(comp) == pytest.approx(1.0, rel=1e-15)
-    comp4 = make_logistic([0], [[2.0, 0.0]], 1, num_samples=4)
+    comp4 = (LOGISTIC, [[2.0, 0.0]], one(1.0), 4.0)
     assert lipschitz(comp4) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_logistic_value_at_origin():
     for m in (1, 5):
-        comp = make_logistic([0], [[1.0, -2.0]], -1, num_samples=m)
-        assert comp_value(comp, [[0.0, 0.0]]) == pytest.approx(np.log(2.0) / m,
-                                                               rel=1e-14)
+        comp = (LOGISTIC, [[1.0, -2.0]], one(-1.0), float(m))
+        assert comp_value(comp, [0.0, 0.0]) == pytest.approx(np.log(2.0) / m,
+                                                             rel=1e-14)
 
 
 def test_logistic_saturation():
-    comp = make_logistic([0], [[1.0]], 1, num_samples=1)
-    assert comp_value(comp, [[40.0]]) == pytest.approx(0.0, abs=1e-15)
-    g, = comp_grad(comp, [[40.0]])
-    assert abs(g[0]) < 1e-15
+    comp = (LOGISTIC, [[1.0]], one(1.0), 1.0)
+    assert comp_value(comp, [40.0]) == pytest.approx(0.0, abs=1e-15)
+    assert abs(comp_grad(comp, [40.0])[0]) < 1e-15
 
 
 def test_logistic_rejects_bad_label():
-    with pytest.raises(InputError):
-        make_logistic([0], [[1.0]], 0, num_samples=1)
+    with pytest.raises(InputError, match="label"):
+        one_entry_operator(LOGISTIC, 1.0, 0.0, 1.0)
 
 
 # -- quadratic conjugate dual -------------------------------------------------
 
 def test_dual_value_single_column():
     # one column with a single unit entry on the first coordinate
-    comp = make_quadratic_conjugate_dual(
-        [0], mats=[[[1.0], [0.0]]], sigma=1.0, center=[0.0],
-        rhs_parts=[[0.0, 0.0]])
+    comp = (DUAL, [[1.0, 0.0]], one(0.0), 1.0)
     for t in (0.5, 2.0, -3.0):
-        assert comp_value(comp, [[t, 9.0]]) == pytest.approx(0.5 * t * t,
-                                                             rel=1e-15)
+        assert comp_value(comp, [t, 9.0]) == pytest.approx(0.5 * t * t,
+                                                           rel=1e-15)
 
 
 def test_dual_value_and_gradient_at_origin():
     rhs = np.array([0.7, -0.3])
-    comp = make_quadratic_conjugate_dual(
-        [0], mats=[[[1.0], [2.0]]], sigma=1.5, center=[0.0], rhs_parts=[rhs])
-    assert comp_value(comp, [[0.0, 0.0]]) == 0.0
-    g, = comp_grad(comp, [[0.0, 0.0]])
-    # minimization form: the constraint right-hand side share enters with +
-    assert np.allclose(g, rhs, atol=1e-15)
+    comp = (DUAL, [[1.0, 2.0]], one(0.0), 1.5)
+    assert comp_value(comp, [0.0, 0.0], lin=rhs) == 0.0
+    # minimization form: the constraint right-hand side enters with +
+    assert np.allclose(comp_grad(comp, [0.0, 0.0], lin=rhs), rhs, atol=1e-15)
 
 
 def test_dual_center_shifts_gradient_at_origin():
-    comp = make_quadratic_conjugate_dual(
-        [0], mats=[[[1.0], [2.0]]], sigma=1.0, center=[0.5],
-        rhs_parts=[[0.0, 0.0]])
-    g, = comp_grad(comp, [[0.0, 0.0]])
     mat = np.array([[1.0], [2.0]])
+    comp = (DUAL, mat.T, one(0.5), 1.0)
+    g = comp_grad(comp, [0.0, 0.0])
     assert np.allclose(g, -mat @ np.array([0.5]), atol=1e-15)
 
 
 def test_dual_sigma_scales_constant():
-    mats = [[[1.0, 0.5], [2.0, -1.0]]]
-    one = make_quadratic_conjugate_dual([0], mats, 1.0, [0.0, 0.0],
-                                        [[0.0, 0.0]])
-    two = make_quadratic_conjugate_dual([0], mats, 2.0, [0.0, 0.0],
-                                        [[0.0, 0.0]])
-    assert lipschitz(two) == pytest.approx(lipschitz(one) / 2.0, rel=1e-12)
+    mat = np.array([[1.0, 2.0], [0.5, -1.0]])
+    one_sigma = (DUAL, mat, np.zeros(2), 1.0)
+    two_sigma = (DUAL, mat, np.zeros(2), 2.0)
+    assert lipschitz(two_sigma) == pytest.approx(lipschitz(one_sigma) / 2.0,
+                                                 rel=1e-12)
 
 
 def test_dual_rejects_bad_sigma():
-    with pytest.raises(InputError):
-        make_quadratic_conjugate_dual([0], [[[1.0]]], 0.0, [0.0], [[0.0]])
+    with pytest.raises(InputError, match="scale > 0"):
+        one_entry_operator(DUAL, 1.0, 0.0, 0.0)
 
 
 def test_spectral_norm_sq_matches_svd():
@@ -229,66 +221,68 @@ def test_dual_constants_bound_curvature(mat, sigma, block, seed):
 # -- shared properties --------------------------------------------------------
 
 def _random_components(rng):
-    comps = []
-    sizes = [2, 1, 3]
-    coeffs = [rng.normal(size=s) for s in sizes]
-    comps.append(make_quadratic_residual([0, 1, 2], coeffs, rng.normal()))
-    comps.append(make_logistic([0, 2], [rng.normal(size=2), rng.normal(size=3)],
-                               1 if rng.random() < 0.5 else -1, num_samples=3))
-    comps.append(make_quadratic_conjugate_dual(
-        [1, 2], mats=[rng.normal(size=(1, 2)), rng.normal(size=(3, 2))],
-        sigma=float(rng.uniform(0.5, 2.0)), center=rng.normal(size=2),
-        rhs_parts=[rng.normal(size=1), rng.normal(size=3)]))
-    return comps, sizes
+    """(component, linear term) pairs over blocks {0, 1}, {2}, {3, 4, 5}: a
+    residual row on every block, a logistic sample on the first and last
+    block, and a two-row dual component with its linear term on the last
+    two blocks."""
+    n = 6
+    logi, dual, lin = np.zeros((1, n)), np.zeros((2, n)), np.zeros(n)
+    res = (RESIDUAL, rng.normal(size=(1, n)), rng.normal(size=1), 1.0)
+    logi[0, [0, 1, 3, 4, 5]] = rng.normal(size=5)
+    label = one(1.0 if rng.random() < 0.5 else -1.0)
+    dual[:, 2:] = rng.normal(size=(2, 4))
+    lin[2:] = rng.normal(size=4)
+    sigma = float(rng.uniform(0.5, 2.0))
+    return [(res, np.zeros(n)), ((LOGISTIC, logi, label, 3.0), np.zeros(n)),
+            ((DUAL, dual, rng.normal(size=2), sigma), lin)]
+
+
+def restricted(comp, lin):
+    """Value and gradient of one component as functions of the coordinates
+    its rows read, their count and the component's constant."""
+    prob = comp_problem(comp, lin)
+    cols = np.flatnonzero(np.any(comp[1] != 0.0, axis=0))
+
+    def embed(v):
+        x = np.zeros(prob.n)
+        x[cols] = v
+        return x
+
+    return (lambda v: prob.smooth_value(embed(v)),
+            lambda v: prob.smooth_gradient(embed(v))[cols],
+            cols.size, float(prob.smooth.lipschitz[0]))
 
 
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(5)
-    comps, sizes = _random_components(rng)
-    for comp in comps:
-        dims = [sizes[int(i)] for i in comp.blocks]
-        total = sum(dims)
-        splits = np.cumsum(dims)[:-1]
-
-        def func(flat, comp=comp, splits=splits):
-            return comp_value(comp, np.split(flat, splits))
-
+    for comp, lin in _random_components(rng):
+        value, grad_of, dim, _ = restricted(comp, lin)
         for _ in range(20):
-            flat = rng.normal(size=total)
-            grad = np.concatenate(comp_grad(comp, np.split(flat, splits)))
-            fd = central_diff_gradient(func, flat)
+            flat = rng.normal(size=dim)
+            grad = grad_of(flat)
+            fd = central_diff_gradient(value, flat)
             denom = max(1.0, float(np.linalg.norm(grad)))
             assert np.linalg.norm(grad - fd) / denom < 1e-5
 
 
 def test_sampled_lipschitz_bound():
     rng = np.random.default_rng(6)
-    comps, sizes = _random_components(rng)
-    for comp in comps:
-        dims = [sizes[int(i)] for i in comp.blocks]
-        total = sum(dims)
-        splits = np.cumsum(dims)[:-1]
+    for comp, lin in _random_components(rng):
+        _, grad_of, dim, lip = restricted(comp, lin)
         for _ in range(200):
-            a = rng.normal(size=total) * 2.0
-            b = rng.normal(size=total) * 2.0
-            ga = np.concatenate(comp_grad(comp, np.split(a, splits)))
-            gb = np.concatenate(comp_grad(comp, np.split(b, splits)))
-            lhs = np.linalg.norm(ga - gb)
-            rhs = lipschitz(comp) * np.linalg.norm(a - b)
+            a = rng.normal(size=dim) * 2.0
+            b = rng.normal(size=dim) * 2.0
+            lhs = np.linalg.norm(grad_of(a) - grad_of(b))
+            rhs = lip * np.linalg.norm(a - b)
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
 
 def test_midpoint_convexity():
     rng = np.random.default_rng(8)
-    comps, sizes = _random_components(rng)
-    for comp in comps:
-        dims = [sizes[int(i)] for i in comp.blocks]
-        total = sum(dims)
-        splits = np.cumsum(dims)[:-1]
+    for comp, lin in _random_components(rng):
+        value, _, dim, _ = restricted(comp, lin)
         for _ in range(200):
-            a = rng.normal(size=total) * 3.0
-            b = rng.normal(size=total) * 3.0
-            fm = comp_value(comp, np.split(0.5 * (a + b), splits))
-            fa = comp_value(comp, np.split(a, splits))
-            fb = comp_value(comp, np.split(b, splits))
-            assert fm <= 0.5 * fa + 0.5 * fb + 1e-12
+            a = rng.normal(size=dim) * 3.0
+            b = rng.normal(size=dim) * 3.0
+            fm = value(0.5 * (a + b))
+            assert fm <= 0.5 * value(a) + 0.5 * value(b) + 1e-12

@@ -5,13 +5,12 @@ import pytest
 
 from oracles import run_component_oracle
 
-from pbcd.blocks import BlockPartition
 from pbcd.errors import CacheConsistencyError, InputError
-from pbcd.generators import generate_dual, generate_lasso, generate_logistic
-from pbcd.problem import assemble_problem
-from pbcd.regularizers import L1, NonnegOrthant, Zero
+from pbcd.generators import (generate_dual, generate_lasso, generate_logistic,
+                             lasso_from_matrix)
+from pbcd.matrixio import MatrixFile
 from pbcd.sampling import BlockSampler, SamplerConfig
-from pbcd.smooth import DUAL, LOGISTIC, RESIDUAL, make_quadratic_residual
+from pbcd.smooth import DUAL, LOGISTIC, RESIDUAL
 from pbcd.solver import (SolverConfig, coordwise_weights, init_solver_state,
                          run, step, verify_and_refresh_caches)
 
@@ -19,22 +18,26 @@ from pbcd.solver import (SolverConfig, coordwise_weights, init_solver_state,
 def diag_quadratic(weights_roots):
     """f = sum_i 0.5 * (d_i x_i)^2 with scalar blocks, no regularizer."""
     n = len(weights_roots)
-    part = BlockPartition.from_sizes([1] * n)
-    smooth = [make_quadratic_residual([i], [[d]], 0.0)
-              for i, d in enumerate(weights_roots)]
-    return assemble_problem(part, smooth, [Zero()] * n)
+    return lasso_from_matrix(MatrixFile(n, n, range(n), range(n), weights_roots),
+                             np.zeros(n), 0.0)
 
 
 def random_sparse_lasso(rng, n=12, m=16, lam=0.4):
-    part = BlockPartition.from_sizes([1] * n)
-    smooth = [make_quadratic_residual([i], [[float(rng.uniform(0.5, 1.5))]],
-                                      float(rng.normal())) for i in range(n)]
-    for _ in range(m - n):
+    """One row per coordinate, then m - n rows on 1 to 3 coordinates each."""
+    rows, cols, vals, rhs = [], [], [], []
+    for i in range(n):
+        rows.append(i)
+        cols.append(i)
+        vals.append(float(rng.uniform(0.5, 1.5)))
+        rhs.append(float(rng.normal()))
+    for r in range(n, m):
         k = int(rng.integers(1, 4))
-        blocks = np.sort(rng.choice(n, k, replace=False))
-        smooth.append(make_quadratic_residual(
-            blocks, [rng.normal(size=1) + 0.1 for _ in blocks], rng.normal()))
-    return assemble_problem(part, smooth, [L1(lam)] * n)
+        for c in np.sort(rng.choice(n, k, replace=False)):
+            rows.append(r)
+            cols.append(int(c))
+            vals.append(float(rng.normal()) + 0.1)
+        rhs.append(float(rng.normal()))
+    return lasso_from_matrix(MatrixFile(m, n, rows, cols, vals), rhs, lam)
 
 
 def test_step_empty_set_is_noop():
@@ -54,9 +57,7 @@ def test_step_full_batch_matched_quadratic_solves_exactly():
 
 
 def test_step_scalar_lasso_one_shot():
-    part = BlockPartition.from_sizes([1])
-    prob = assemble_problem(part, [make_quadratic_residual([0], [[1.0]], 0.0)],
-                            [L1(1.0)])
+    prob = lasso_from_matrix(MatrixFile(1, 1, [0], [0], [1.0]), [0.0], 1.0)
     state = init_solver_state(prob, np.array([3.0]))
     step(prob, state, np.array([0]))
     assert state.x[0] == 0.0
@@ -196,11 +197,8 @@ def test_max_iters_reports_nonconverged_status():
 
 
 def test_infeasible_start_projected():
-    part = BlockPartition.from_sizes([1, 1])
-    prob = assemble_problem(
-        part,
-        [make_quadratic_residual([0, 1], [[1.0], [1.0]], 1.0)],
-        [NonnegOrthant(), NonnegOrthant()])
+    prob = lasso_from_matrix(MatrixFile(1, 2, [0, 0], [0, 1], [1.0, 1.0]),
+                             [1.0], 0.0, box=(0.0, np.inf))
     res = run(prob, SolverConfig(mode="full", max_iters=5), np.array([-5.0, -1.0]))
     assert np.isfinite(res.trace.objectives[0])
     assert np.all(res.x >= 0.0)
@@ -210,10 +208,9 @@ def test_coordwise_reference_weights_exceed_aggregated_on_overlap():
     # one wide row plus diagonal rows: the reference rule multiplies every
     # coordinate constant by the overlap, the aggregated rule does not
     n = 6
-    part = BlockPartition.from_sizes([1] * n)
-    smooth = [make_quadratic_residual(list(range(n)), [[1.0]] * n, 0.0)]
-    smooth += [make_quadratic_residual([i], [[1.0]], 0.0) for i in range(n)]
-    prob = assemble_problem(part, smooth, [Zero()] * n)
+    rows = [0] * n + list(range(1, n + 1))
+    mat = MatrixFile(n + 1, n, rows, list(range(n)) * 2, [1.0] * (2 * n))
+    prob = lasso_from_matrix(mat, np.zeros(n + 1), 0.0)
     cw = coordwise_weights(prob, batch_size=n)
     assert np.all(cw > prob.weights)
 
