@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import ErrorBoundWitnessError, InputError
 from .smooth import LOGISTIC
@@ -150,13 +150,21 @@ def bundle_from_reference(problem, x0, xstar, fstar, batch_size, **extra):
 # -- strong convexity estimation ---------------------------------------------
 
 
-def estimate_strong_convexity(problem, tol=1e-12, max_iters=500):
+def estimate_strong_convexity(problem):
     """Smallest eigenvalue of the weighted-normalized Hessian for quadratic
-    smooth parts, by inverse power iteration.
+    smooth parts, clipped to [0, 1].
+
+    Residual and dual rows both have phi'' = 1 / scale, so the normalized
+    Hessian is B'B with B = diag(scale)^-1/2 M diag(w)^-1/2.  Returns 0.0
+    (not strongly convex) without forming it when the structural rank of M,
+    an upper bound on rank(B'B), is below n; every M with fewer rows than
+    columns is such a case.  Otherwise B shares M's sparsity pattern, its
+    Gram comes from one sparse product, and a dense symmetric eigensolve
+    gives its spectrum; a smallest eigenvalue within rounding of zero
+    (at most n * eps * the largest) also returns 0.0.
 
     Non-quadratic components have no constant Hessian; supply the modulus
-    explicitly for those problems.  Returns 0.0 when the Hessian is
-    numerically singular (not strongly convex).
+    explicitly for those problems.
     """
     n = problem.n
     op = problem.smooth
@@ -164,33 +172,20 @@ def estimate_strong_convexity(problem, tol=1e-12, max_iters=500):
         raise InputError(
             "strong convexity estimation supports quadratic smooth parts "
             "only; supply the modulus for logistic problems")
-    # residual and dual rows both have phi'' = 1 / scale, so the normalized
-    # Hessian is B'B with B = diag(scale)^-1/2 M diag(w)^-1/2; building B
-    # and its Gram directly needs no separate Hessian or scaled copies
+    # imported here: csgraph adds about 2 MB resident to every process
+    # that imports pbcd, and only this estimate needs it
+    from scipy.sparse.csgraph import structural_rank
+
     mat = op.matrix
-    dense = np.zeros(mat.shape)
-    dense[mat.indices, op.entry_cols] = mat.data / np.sqrt(
-        op.scale[mat.indices] * problem.coord_weights[op.entry_cols])
-    m = dense.T @ dense
-    del dense
-    try:
-        factor = scipy.linalg.cho_factor(m)
-    except scipy.linalg.LinAlgError:
+    if structural_rank(mat) < n:
         return 0.0
-    v = np.ones(n) / math.sqrt(n)
-    lam = float(v @ (m @ v))
-    for _ in range(max_iters):
-        y = scipy.linalg.cho_solve(factor, v)
-        nrm = np.linalg.norm(y)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            return 0.0
-        v = y / nrm
-        new_lam = float(v @ (m @ v))
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return float(min(max(lam, 0.0), 1.0))
+    scaled = mat.data / np.sqrt(op.scale[mat.indices]
+                                * problem.coord_weights[op.entry_cols])
+    b = sp.csc_matrix((scaled, mat.indices, mat.indptr), shape=mat.shape)
+    eig = np.linalg.eigvalsh((b.T @ b).toarray())
+    if eig[0] <= n * np.finfo(float).eps * eig[-1]:
+        return 0.0
+    return float(min(eig[0], 1.0))
 
 
 # -- generalized error bound fitting ------------------------------------------

@@ -20,8 +20,8 @@ from .analysis import (RateBundle, error_bound_chain, fit_error_bound_constants,
 from .errors import (CacheConsistencyError, DescentViolationError,
                      ErrorBoundWitnessError, InputError, StructureError)
 from .experiment import (ExperimentConfig, _parse_field, build_problem,
-                         load_config, reference_and_start, reference_solution,
-                         run_cell, run_experiment, write_csv, write_trace)
+                         load_config, reference_and_start, run_cell,
+                         run_experiment, write_csv, write_trace)
 from .matrixio import save_matrix, save_vector
 
 EXIT_OK = 0
@@ -172,9 +172,9 @@ def cmd_gebp_fit(args):
     cfg = _experiment_config(args)
     gen = build_problem(cfg)
     problem = gen.problem
-    xstar, fstar, ref_ok = reference_solution(problem, tol=cfg.ref_tol,
-                                              max_iters=cfg.ref_max_iters)
-    if not ref_ok:
+    base = reference_and_start(problem, cfg)
+    xstar = base.xstar
+    if not base.converged:
         print("warning: reference solve did not reach tolerance",
               file=sys.stderr)
     rng = np.random.Generator(np.random.Philox(args.sample_seed))

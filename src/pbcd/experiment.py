@@ -164,7 +164,18 @@ class Baseline:
 
 def reference_and_start(problem, cfg):
     """Reference optimum, the projected zero start and the gap tolerance
-    gap_rtol * (F(x0) - F*) that stops every cell."""
+    gap_rtol * (F(x0) - F*) that stops every cell.
+
+    Every command that solves passes here, so the solve limits are checked
+    here: gap_rtol and ref_tol finite and > 0, max_iters and ref_max_iters
+    >= 1.
+    """
+    for name in ("gap_rtol", "ref_tol"):
+        if not 0.0 < getattr(cfg, name) < np.inf:
+            raise InputError(f"{name} must be finite and > 0")
+    for name in ("max_iters", "ref_max_iters"):
+        if not getattr(cfg, name) >= 1:
+            raise InputError(f"{name} must be >= 1")
     xstar, fstar, ok = reference_solution(problem, tol=cfg.ref_tol,
                                           max_iters=cfg.ref_max_iters)
     x0 = problem.project_domain(np.zeros(problem.n))

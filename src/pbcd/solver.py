@@ -204,6 +204,8 @@ def run(problem, config, x0):
         raise InputError("gap stop rule needs the reference optimal value")
     if config.mode != "full" and config.sampler is None:
         raise InputError(f"mode {config.mode!r} needs a sampler config")
+    if not config.trace_stride >= 1:
+        raise InputError("trace_stride must be >= 1")
 
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n,) or not np.all(np.isfinite(x0)):

@@ -3,6 +3,7 @@
 These deliberately avoid the closed forms under test: gradients come from
 central differences, scalar proximal values from golden-section search,
 tiny constrained quadratic programs from exhaustive active-set enumeration,
+the strong convexity modulus from a dense symmetric eigensolve,
 the smooth part and the sampled step from a per-component evaluation that
 keeps one cache per component, and the block incidence from a dense
 component x block table filled one stored entry at a time.  Each test writes
@@ -173,6 +174,23 @@ def dense_operator(comps, lin):
         np.concatenate([np.atleast_1d(c[2]) for c in comps]),
         np.repeat([float(c[3]) for c in comps], sizes),
         np.repeat(np.arange(len(comps)), sizes), lin)
+
+
+def normalized_hessian_min_eig(comps, coord_weights):
+    """Smallest eigenvalue, clipped to [0, 1], of the Hessian of residual and
+    dual tuples scaled by the coordinate weights w on both sides:
+    D^-1/2 (sum_j mat_j' mat_j / c_j) D^-1/2 with D = diag(w), c_j = 1 for
+    a residual tuple and sigma_j for a dual one, from a dense eigensolve."""
+    n = len(coord_weights)
+    hess = np.zeros((n, n))
+    for kind, mat, _, s in comps:
+        if kind == LOGISTIC:
+            raise ValueError("logistic components have no constant Hessian")
+        mat = np.atleast_2d(np.asarray(mat, dtype=float))
+        hess += mat.T @ mat / (1.0 if kind == RESIDUAL else float(s))
+    scale = 1.0 / np.sqrt(np.asarray(coord_weights, dtype=float))
+    low = np.linalg.eigvalsh(scale[:, None] * hess * scale[None, :])[0]
+    return min(max(float(low), 0.0), 1.0)
 
 
 def value_and_gradient(comps, lin, x):

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import structural_rank
 
 from pbcd.analysis import (RateBundle, bundle_from_reference,
                            error_bound_chain, estimate_strong_convexity,
@@ -8,11 +13,16 @@ from pbcd.analysis import (RateBundle, bundle_from_reference,
                            iters_to_confidence_sublinear,
                            linear_rate_error_bound,
                            linear_rate_strongly_convex, sublinear_gap_bound)
+from pbcd.blocks import BlockPartition
 from pbcd.errors import ErrorBoundWitnessError, InputError
-from pbcd.generators import lasso_from_matrix, logistic_from_matrix
+from pbcd.generators import (dual_from_data, generate_dual, generate_lasso,
+                             lasso_from_matrix, logistic_from_matrix)
 from pbcd.matrixio import MatrixFile
+from pbcd.problem import CompositeProblem
+from pbcd.smooth import DUAL, RESIDUAL, SmoothOperator
 from pbcd.solver import SolverConfig, run
 
+from oracles import normalized_hessian_min_eig
 from test_problem import corner_problem
 
 
@@ -201,11 +211,16 @@ def test_error_bound_chain_validation():
 
 # -- strong convexity estimation ----------------------------------------------
 
-def quad_problem(mat, lam=0.0):
+def quad_problem(mat, lam=0.0, block_size=1):
     """0.5 ||mat x||^2 + lam ||x||_1, one residual row per row of mat."""
     rows, cols = np.nonzero(mat)
     file = MatrixFile(mat.shape[0], mat.shape[1], rows, cols, mat[rows, cols])
-    return lasso_from_matrix(file, np.zeros(mat.shape[0]), lam)
+    return lasso_from_matrix(file, np.zeros(mat.shape[0]), lam,
+                             block_size=block_size)
+
+
+def residual_rows(mat):
+    return [(RESIDUAL, row[None, :], np.zeros(1), 1.0) for row in mat]
 
 
 def test_strong_convexity_matches_dense_eigensolve():
@@ -214,17 +229,152 @@ def test_strong_convexity_matches_dense_eigensolve():
         mat = rng.normal(size=(9, 6)) + np.vstack([np.eye(6) * 2.0,
                                                    np.zeros((3, 6))])
         prob = quad_problem(mat)
-        hess = mat.T @ mat
-        scale = 1.0 / np.sqrt(prob.coord_weights)
-        want = np.linalg.eigvalsh(scale[:, None] * hess * scale[None, :])[0]
+        want = normalized_hessian_min_eig(residual_rows(mat), prob.coord_weights)
         got = estimate_strong_convexity(prob)
-        assert got == pytest.approx(min(max(want, 0.0), 1.0), rel=1e-8)
+        assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_strong_convexity_block_size_3_lasso_matches_oracle():
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(14, 9)) * (rng.random((14, 9)) < 0.6)
+    mat[np.arange(9), np.arange(9)] += 1.5
+    prob = quad_problem(mat, lam=0.2, block_size=3)
+    assert prob.num_blocks == 3
+    want = normalized_hessian_min_eig(residual_rows(mat), prob.coord_weights)
+    assert want > 1e-3
+    assert estimate_strong_convexity(prob) == pytest.approx(want, rel=1e-8)
+
+
+def test_strong_convexity_dual_matches_oracle():
+    # constraint matrix A (4 x 6) over primal parts of widths 2, 3, 1; the
+    # dual's Hessian is sum_j A_j A_j' / sigma_j
+    a_mat = np.array([[1.0, 0.0, 2.0, 0.0, -1.0, 0.0],
+                      [0.0, 1.5, 0.0, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.5, 0.0, 2.0],
+                      [0.0, -1.0, 1.0, 0.0, 1.0, 1.0]])
+    parts = [[0, 1], [2, 3, 4], [5]]
+    sigmas = [0.5, 2.0, 1.0]
+    centers = [np.zeros(len(p)) for p in parts]
+    rows, cols = np.nonzero(a_mat)
+    prob = dual_from_data(MatrixFile(4, 6, rows, cols, a_mat[rows, cols]),
+                          np.ones(4), sigmas, centers)
+    comps = [(DUAL, a_mat[:, p].T, c, s)
+             for p, c, s in zip(parts, centers, sigmas)]
+    want = normalized_hessian_min_eig(comps, prob.coord_weights)
+    assert want > 1e-3
+    assert estimate_strong_convexity(prob) == pytest.approx(want, rel=1e-8)
+
+
+def test_strong_convexity_generated_dual_matches_oracle():
+    gen = generate_dual(40, seed=1)
+    mat = gen.matrix
+    dense = np.zeros((mat.rows, mat.cols))
+    dense[mat.row_idx, mat.col_idx] = mat.values
+    comps = [(DUAL, dense[:, [j]].T, c, s) for j, (c, s) in
+             enumerate(zip(gen.extras["centers"], gen.extras["sigmas"]))]
+    want = normalized_hessian_min_eig(comps, gen.problem.coord_weights)
+    assert want > 0.0
+    assert estimate_strong_convexity(gen.problem) == pytest.approx(want, rel=1e-8)
 
 
 def test_strong_convexity_singular_returns_zero():
     mat = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank 1
     prob = quad_problem(mat)
     assert estimate_strong_convexity(prob) == 0.0
+
+
+def test_strong_convexity_wide_operator_returns_zero():
+    mat = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+    assert estimate_strong_convexity(quad_problem(mat)) == 0.0
+
+
+def test_strong_convexity_structurally_deficient_tall_operator_returns_zero():
+    # columns 0 and 1 only ever share row 0, so at most one of them can be
+    # matched to a row: structural rank 2 < n = 3 on a 4 x 3 operator
+    mat = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.5],
+                    [0.0, 0.0, 0.5]])
+    prob = quad_problem(mat)
+    assert structural_rank(prob.smooth.matrix) == 2
+    assert estimate_strong_convexity(prob) == 0.0
+
+
+def test_strong_convexity_numerically_singular_returns_zero():
+    # a dense 5 x 4 operator whose last column mixes the first two: full
+    # structural rank, a singular Hessian, and a smallest computed
+    # eigenvalue that rounding leaves around 1e-16 instead of zero
+    rng = np.random.default_rng(3)
+    mat = rng.normal(size=(5, 3))
+    mat = np.hstack([mat, 0.7 * mat[:, :1] + 0.3 * mat[:, 1:2]])
+    prob = quad_problem(mat)
+    assert structural_rank(prob.smooth.matrix) == 4
+    assert estimate_strong_convexity(prob) == 0.0
+
+
+@pytest.mark.parametrize("rows", [900, 1200], ids=["wide", "tall"])
+def test_strong_convexity_allocates_no_dense_copy(rows):
+    # the README lasso (900 x 1000) and a tall variant (1200 x 1000) have
+    # structural rank 833 and 968 < n, so the estimate must return before
+    # any rows x n or n x n array exists
+    prob = generate_lasso(rows, 1000, 0.002, lam=10.0, seed=1).problem
+    prob.coord_weights, prob.smooth.entry_cols  # warm the cached arrays
+    tracemalloc.start()
+    try:
+        sigma = estimate_strong_convexity(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sigma == 0.0
+    assert peak < 1_000_000
+
+
+@st.composite
+def quadratic_operators(draw):
+    """Small residual and dual operators, tall, square or wide, as dense
+    per-component tuples plus the partition and the operator built from
+    them.  Stored entries may hold explicit zeros, rows may be duplicated,
+    and every row keeps a nonzero and every column a stored entry."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    vals = st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, -1.5))
+    dense = np.array(draw(st.lists(st.lists(vals, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)))
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    stored = (dense != 0.0) | np.array(draw(st.lists(flags, min_size=m,
+                                                     max_size=m)))
+    if m > 1 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        dense[dst], stored[dst] = dense[src], stored[src]
+    for r in np.flatnonzero(~dense.any(axis=1)):
+        dense[r, r % n], stored[r, r % n] = 1.0, True
+    for c in np.flatnonzero(~stored.any(axis=0)):
+        stored[c % m, c] = True
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(min(draw(st.integers(1, 2)), m - sum(sizes)))
+    family = draw(st.lists(st.sampled_from((RESIDUAL, DUAL)),
+                           min_size=len(sizes), max_size=len(sizes)))
+    scale = [1.0 if f == RESIDUAL else draw(st.sampled_from((0.5, 1.0, 3.0)))
+             for f in family]
+    bounds = np.cumsum([0] + sizes)
+    comps = [(f, dense[lo:hi], np.zeros(hi - lo), s)
+             for f, s, lo, hi in zip(family, scale, bounds[:-1], bounds[1:])]
+    rows, cols = np.nonzero(stored)
+    op = SmoothOperator.from_entries(
+        n, rows, cols, dense[rows, cols], np.repeat(family, sizes),
+        np.zeros(m), np.repeat(scale, sizes), np.repeat(np.arange(len(sizes)), sizes))
+    part = BlockPartition.uniform(n, draw(st.integers(1, 3)))
+    return part, op, comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=quadratic_operators())
+def test_strong_convexity_matches_oracle_property(case):
+    part, op, comps = case
+    prob = CompositeProblem(part, op)
+    want = normalized_hessian_min_eig(comps, prob.coord_weights)
+    got = estimate_strong_convexity(prob)
+    assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
+    if op.matrix.shape[0] < op.matrix.shape[1]:
+        assert got == 0.0
 
 
 def test_strong_convexity_rejects_logistic():

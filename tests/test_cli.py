@@ -127,6 +127,39 @@ def test_bad_list_value_exits_2(tmp_path, capsys, argv, ini, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, ini, key", [
+    (["solve", "--trace-stride", "0"], None, "trace_stride"),
+    (["compare", "--trace-stride", "0"], None, "trace_stride"),
+    (["solve"], "[output]\ntrace_stride = 0\n", "trace_stride"),
+    (["solve", "--gap-rtol", "-1"], None, "gap_rtol"),
+    (["compare", "--gap-rtol", "0"], None, "gap_rtol"),
+    (["solve", "--gap-rtol", "nan"], None, "gap_rtol"),
+    (["solve", "--ref-tol", "-1"], None, "ref_tol"),
+    (["gebp-fit", "--ref-tol", "inf"], None, "ref_tol"),
+    (["solve", "--max-iters", "-5"], None, "max_iters"),
+    (["compare", "--ref-max-iters", "0"], None, "ref_max_iters"),
+    (["solve"], "[solve]\ngap_rtol = -1\n", "gap_rtol"),
+    (["compare"], "[solve]\nref_tol = -1\n", "ref_tol"),
+    (["solve"], "[solve]\nmax_iters = -5\n", "max_iters"),
+    (["solve"], "[solve]\nref_max_iters = 0\n", "ref_max_iters"),
+], ids=["solve-trace-stride", "compare-trace-stride", "config-trace-stride",
+        "solve-negative-gap-rtol", "compare-zero-gap-rtol", "solve-nan-gap-rtol",
+        "solve-negative-ref-tol", "gebp-fit-infinite-ref-tol",
+        "solve-negative-max-iters", "compare-zero-ref-max-iters",
+        "config-gap-rtol", "config-ref-tol", "config-max-iters",
+        "config-ref-max-iters"])
+def test_bad_solve_limit_exits_2(tmp_path, capsys, argv, ini, key):
+    argv = argv + ["--m", "6", "--n", "5", "--sparsity", "0.5",
+                   "--outdir", str(tmp_path / "o")]
+    if ini is not None:
+        path = tmp_path / "exp.ini"
+        path.write_text(ini)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert f"input error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_optimal_start_converges_in_one_iteration(tmp_path, capsys):
     # above lam_max the start x0 = 0 is optimal; the reference and the
     # solver must agree on F there exactly, or the gap tolerance

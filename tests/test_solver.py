@@ -260,6 +260,17 @@ def test_config_validation():
         run(prob, SolverConfig(mode="full", eps_gap=1.0), np.zeros(1))
 
 
+@pytest.mark.parametrize("mode", ["rcd", "full"])
+@pytest.mark.parametrize("stride", [0, -3])
+def test_trace_stride_must_be_positive(mode, stride):
+    prob = diag_quadratic([1.0, 2.0])
+    sampler = SamplerConfig(1, seed=0) if mode == "rcd" else None
+    cfg = SolverConfig(mode=mode, sampler=sampler, max_iters=5,
+                       trace_stride=stride)
+    with pytest.raises(InputError, match="trace_stride"):
+        run(prob, cfg, np.zeros(2))
+
+
 def test_trace_iterations_strictly_increasing():
     rng = np.random.default_rng(12)
     prob = random_sparse_lasso(rng)
