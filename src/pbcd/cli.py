@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, solve, compare, bounds, gebp-fit.  Every experiment
-field is settable by flag; --config loads an INI file first and flags
-override it.  Exit codes: 0 success, 2 bad input, 3 inconsistent structure,
+field is a flag read as its INI key; --config loads an INI file first and
+flags override it.  Exit codes: 0 success, 2 bad input, 3 inconsistent structure,
 4 internal solver check failure, 6 error-bound counter-witness found,
 1 unexpected failure.
 """
@@ -10,6 +10,7 @@ override it.  Exit codes: 0 success, 2 bad input, 3 inconsistent structure,
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .analysis import (RateBundle, error_bound_chain, fit_error_bound_constants,
                        linear_rate_strongly_convex, sublinear_gap_bound)
 from .errors import (CacheConsistencyError, DescentViolationError,
                      ErrorBoundWitnessError, InputError, StructureError)
-from .experiment import (ExperimentConfig, _parse_field, build_problem,
-                         load_config, reference_and_start, run_cell,
+from .experiment import (ExperimentConfig, build_problem, load_config,
+                         parse_field, reference_and_start, run_cell,
                          run_experiment, write_csv, write_trace)
 from .matrixio import save_matrix, save_vector
 
@@ -31,63 +32,46 @@ EXIT_STRUCTURE = 3
 EXIT_INTERNAL = 4
 EXIT_WITNESS = 6
 
+# gebp-fit draws each sample's weighted distance from x* in [this, --sample-radius]
+_MIN_SAMPLE_RADIUS = 0.05
 
-def _add_problem_flags(parser):
+# flags not spelled --<field name with dashes>
+_FLAG_NAMES = {"matrix_path": "--matrix", "rhs_path": "--rhs",
+               "write_traces": "--no-traces",
+               "trace_mapping_norm": "--no-mapping-norm"}
+
+
+def _flag(spec):
+    return _FLAG_NAMES.get(spec.name, "--" + spec.name.replace("_", "-"))
+
+
+def _config_command(sub, name, func, help_text, keep=lambda spec: True):
+    """Subcommand with --config plus one flag per ExperimentConfig field that
+    `keep` accepts.  A flag stores its text for _experiment_config to parse
+    as the field's INI key; a bool field's flag sets the opposite of the
+    default."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.set_defaults(func=func)
     parser.add_argument("--config", help="INI config file (flags override it)")
-    parser.add_argument("--source", choices=["generate-lasso",
-                                             "generate-logistic",
-                                             "generate-dual", "load-matrix"])
-    parser.add_argument("--m", type=int, help="rows / constraint count")
-    parser.add_argument("--n", type=int, help="variable dimension")
-    parser.add_argument("--num-samples", type=int, dest="num_samples")
-    parser.add_argument("--num-parts", type=int, dest="num_parts")
-    parser.add_argument("--sparsity", type=float)
-    parser.add_argument("--block-size", type=int, dest="block_size")
-    parser.add_argument("--lam", type=float, help="l1 weight")
-    parser.add_argument("--box-lb", type=float, dest="box_lb")
-    parser.add_argument("--box-ub", type=float, dest="box_ub")
-    parser.add_argument("--noise", type=float)
-    parser.add_argument("--problem-seed", type=int, dest="problem_seed")
-    parser.add_argument("--matrix", dest="matrix_path")
-    parser.add_argument("--rhs", dest="rhs_path")
-
-
-def _add_solve_flags(parser):
-    parser.add_argument("--seeds", help="comma-separated run seeds")
-    parser.add_argument("--modes", help="comma-separated solver modes")
-    parser.add_argument("--batch-sizes", dest="batch_sizes",
-                        help="comma-separated blocks-per-iteration values")
-    parser.add_argument("--scheme", choices=["uniform-subset",
-                                             "shuffle-partition"])
-    parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--gap-rtol", type=float, dest="gap_rtol")
-    parser.add_argument("--ref-tol", type=float, dest="ref_tol")
-    parser.add_argument("--ref-max-iters", type=int, dest="ref_max_iters")
-    parser.add_argument("--outdir")
-    parser.add_argument("--trace-stride", type=int, dest="trace_stride")
-    parser.add_argument("--no-traces", action="store_true")
-    parser.add_argument("--no-mapping-norm", action="store_true",
-                        help="skip the residual-mapping column in traces")
+    for spec in fields(ExperimentConfig):
+        if not keep(spec):
+            continue
+        text, choices = spec.metadata["help"], spec.metadata["choices"]
+        if spec.type is bool:
+            parser.add_argument(_flag(spec), dest=spec.name, help=f"do not {text}",
+                                action="store_const", const=str(not spec.default))
+        else:
+            parser.add_argument(_flag(spec), dest=spec.name, help=text, metavar=(
+                "{" + ",".join(choices) + "}" if choices else None))
+    return parser
 
 
 def _experiment_config(args):
     overrides = {}
-    for name in ("source", "m", "n", "num_samples", "num_parts", "sparsity",
-                 "block_size", "lam", "box_lb", "box_ub", "noise",
-                 "problem_seed", "matrix_path", "rhs_path", "scheme",
-                 "max_iters", "gap_rtol", "ref_tol", "ref_max_iters",
-                 "outdir", "trace_stride"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    for name in ("seeds", "batch_sizes", "modes"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = _parse_field(name, v, "--" + name.replace("_", "-"))
-    if getattr(args, "no_traces", False):
-        overrides["write_traces"] = False
-    if getattr(args, "no_mapping_norm", False):
-        overrides["trace_mapping_norm"] = False
+    for spec in fields(ExperimentConfig):
+        text = getattr(args, spec.name, None)
+        if text is not None:
+            overrides[spec.name] = parse_field(spec.name, text, _flag(spec))
     if args.config:
         return load_config(args.config, overrides)
     return ExperimentConfig(**overrides)
@@ -96,10 +80,9 @@ def _experiment_config(args):
 def cmd_generate(args):
     cfg = _experiment_config(args)
     gen = build_problem(cfg)
-    os.makedirs(args.outdir or cfg.outdir, exist_ok=True)
-    outdir = args.outdir or cfg.outdir
-    mat_path = os.path.join(outdir, "matrix.mtx")
-    rhs_path = os.path.join(outdir, "rhs.vec")
+    os.makedirs(cfg.outdir, exist_ok=True)
+    mat_path = os.path.join(cfg.outdir, "matrix.mtx")
+    rhs_path = os.path.join(cfg.outdir, "rhs.vec")
     save_matrix(mat_path, gen.matrix)
     save_vector(rhs_path, gen.rhs)
     print(f"matrix: {mat_path} ({gen.matrix.rows} x {gen.matrix.cols}, "
@@ -139,14 +122,16 @@ def cmd_compare(args):
 
 
 def cmd_bounds(args):
+    if args.k_max < 0 or args.k_stride < 1:
+        raise InputError("--k-max must be >= 0 and --k-stride >= 1")
     bundle = RateBundle(num_blocks=args.num_blocks, batch_size=args.batch_size,
                         radius=args.radius, initial_gap=args.initial_gap,
                         strong_convexity=args.strong_convexity,
                         eb_const=args.eb_const, eb_quad=args.eb_quad)
-    rows = []
-    for k in range(0, args.k_max + 1, args.k_stride):
-        rows.append((k, sublinear_gap_bound(bundle, k)))
-    print(f"sublinear gap bound at k={args.k_max}: {rows[-1][1]!r}")
+    rows = [(k, sublinear_gap_bound(bundle, k))
+            for k in range(0, args.k_max + 1, args.k_stride)]
+    print(f"sublinear gap bound at k={args.k_max}: "
+          f"{sublinear_gap_bound(bundle, args.k_max)!r}")
     if args.strong_convexity is not None:
         factor = linear_rate_strongly_convex(bundle)
         print(f"strongly convex per-iteration factor: {factor!r}")
@@ -169,11 +154,12 @@ def cmd_bounds(args):
 
 
 def cmd_gebp_fit(args):
+    if args.samples < 1 or not _MIN_SAMPLE_RADIUS <= args.sample_radius < np.inf:
+        raise InputError("--samples must be >= 1 and --sample-radius finite "
+                         f"and >= {_MIN_SAMPLE_RADIUS}")
     cfg = _experiment_config(args)
-    gen = build_problem(cfg)
-    problem = gen.problem
+    problem = build_problem(cfg).problem
     base = reference_and_start(problem, cfg)
-    xstar = base.xstar
     if not base.converged:
         print("warning: reference solve did not reach tolerance",
               file=sys.stderr)
@@ -181,10 +167,10 @@ def cmd_gebp_fit(args):
     points = []
     for _ in range(args.samples):
         raw = rng.normal(size=problem.n)
-        scale = float(rng.uniform(0.05, args.sample_radius))
+        scale = float(rng.uniform(_MIN_SAMPLE_RADIUS, args.sample_radius))
         points.append(problem.project_domain(
-            xstar + raw * (scale / problem.norm_w(raw))))
-    fit = fit_error_bound_constants(problem, xstar, points)
+            base.xstar + raw * (scale / problem.norm_w(raw))))
+    fit = fit_error_bound_constants(problem, base.xstar, points)
     print(f"samples: {len(points)}  (weighted radius <= {args.sample_radius})")
     print(f"fitted error-bound coefficients: const={fit.const_coeff!r} "
           f"quad={fit.quad_coeff!r}")
@@ -202,49 +188,35 @@ def build_parser():
         description="Parallel block-coordinate descent benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", help="generate a problem and save "
-                                            "matrix/vector files")
-    _add_problem_flags(p_gen)
-    p_gen.add_argument("--outdir")
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_solve = sub.add_parser("solve", help="solve one configuration and "
-                                           "write its trace")
-    _add_problem_flags(p_solve)
-    _add_solve_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_cmp = sub.add_parser("compare", help="run the mode x batch x seed grid "
-                                           "and write the summary table")
-    _add_problem_flags(p_cmp)
-    _add_solve_flags(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    _config_command(sub, "generate", cmd_generate,
+                    "generate a problem and save matrix/vector files",
+                    lambda spec: spec.metadata["section"] == "problem"
+                    or spec.name == "outdir")
+    _config_command(sub, "solve", cmd_solve,
+                    "solve one configuration and write its trace")
+    _config_command(sub, "compare", cmd_compare,
+                    "run the mode x batch x seed grid and write the summary table")
 
     p_b = sub.add_parser("bounds", help="evaluate the theoretical rate bounds")
-    p_b.add_argument("--num-blocks", type=int, required=True, dest="num_blocks")
-    p_b.add_argument("--batch-size", type=int, required=True, dest="batch_size")
+    p_b.add_argument("--num-blocks", type=int, required=True)
+    p_b.add_argument("--batch-size", type=int, required=True)
     p_b.add_argument("--radius", type=float, required=True)
-    p_b.add_argument("--initial-gap", type=float, required=True,
-                     dest="initial_gap")
-    p_b.add_argument("--strong-convexity", type=float, dest="strong_convexity")
-    p_b.add_argument("--eb-const", type=float, dest="eb_const")
-    p_b.add_argument("--eb-quad", type=float, dest="eb_quad")
+    p_b.add_argument("--initial-gap", type=float, required=True)
+    p_b.add_argument("--strong-convexity", type=float)
+    p_b.add_argument("--eb-const", type=float)
+    p_b.add_argument("--eb-quad", type=float)
     p_b.add_argument("--eps", type=float)
     p_b.add_argument("--rho", type=float)
-    p_b.add_argument("--k-max", type=int, default=1000, dest="k_max")
-    p_b.add_argument("--k-stride", type=int, default=10, dest="k_stride")
+    p_b.add_argument("--k-max", type=int, default=1000)
+    p_b.add_argument("--k-stride", type=int, default=10)
     p_b.add_argument("--out")
     p_b.set_defaults(func=cmd_bounds)
 
-    p_fit = sub.add_parser("gebp-fit", help="fit generalized error bound "
-                                            "coefficients around the optimum")
-    _add_problem_flags(p_fit)
-    _add_solve_flags(p_fit)
+    p_fit = _config_command(sub, "gebp-fit", cmd_gebp_fit, "fit generalized error "
+                            "bound coefficients around the optimum")
     p_fit.add_argument("--samples", type=int, default=100)
-    p_fit.add_argument("--sample-radius", type=float, default=0.9,
-                       dest="sample_radius")
-    p_fit.add_argument("--sample-seed", type=int, default=0, dest="sample_seed")
-    p_fit.set_defaults(func=cmd_gebp_fit)
+    p_fit.add_argument("--sample-radius", type=float, default=0.9)
+    p_fit.add_argument("--sample-seed", type=int, default=0)
     return parser
 
 

@@ -14,7 +14,8 @@ the wall-time column is the one nondeterministic field.
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -23,72 +24,77 @@ from .errors import InputError
 from .generators import (GeneratedProblem, generate_dual, generate_lasso,
                          generate_logistic, lasso_from_matrix)
 from .matrixio import load_matrix, load_vector
-from .sampling import SamplerConfig
+from .sampling import SCHEMES, SamplerConfig
 from .solver import MODES, SolverConfig, run
 
 SOURCES = ("generate-lasso", "generate-logistic", "generate-dual", "load-matrix")
 
 
+def _field(section, default, help=None, choices=None):
+    """A config field read from INI section `section`; `choices` limits its
+    value, or each item of a tuple field."""
+    return field(default=default, metadata={"section": section, "help": help,
+                                            "choices": choices})
+
+
 @dataclass
 class ExperimentConfig:
-    source: str = "generate-lasso"
-    m: int = 60
-    n: int = 80
-    num_samples: int = 60          # logistic sample count
-    num_parts: int = 8             # dual primal-part count
-    sparsity: float = 0.1
-    block_size: int = 1
-    lam: float = 1.0
-    box_lb: float = None
-    box_ub: float = None
-    noise: float = 0.01
-    problem_seed: int = 0
-    matrix_path: str = None
-    rhs_path: str = None
-    seeds: tuple = (0, 1, 2)
-    modes: tuple = ("rcd", "rcd-coordwise")
-    batch_sizes: tuple = (1,)
-    scheme: str = "uniform-subset"
-    max_iters: int = 200000
-    gap_rtol: float = 1e-4         # stop when F - F* <= gap_rtol * initial gap
-    ref_tol: float = 1e-10
-    ref_max_iters: int = 500000
-    trace_stride: int = 1
-    outdir: str = "out"
-    write_traces: bool = True
-    trace_mapping_norm: bool = True
+    """One experiment.  This is the only declaration of the config schema:
+    each field is the key of the same name in its INI section, typed by its
+    annotation, and a flag of the commands that read a config (pbcd.cli)."""
+
+    source: str = _field("problem", "generate-lasso", choices=SOURCES)
+    m: int = _field("problem", 60, "rows / constraint count")
+    n: int = _field("problem", 80, "variable dimension")
+    num_samples: int = _field("problem", 60, "logistic sample count")
+    num_parts: int = _field("problem", 8, "dual primal-part count")
+    sparsity: float = _field("problem", 0.1)
+    block_size: int = _field("problem", 1)
+    lam: float = _field("problem", 1.0, "l1 weight")
+    box_lb: float = _field("problem", -np.inf)
+    box_ub: float = _field("problem", np.inf)
+    noise: float = _field("problem", 0.01)
+    problem_seed: int = _field("problem", 0)
+    matrix_path: str = _field("problem", None)
+    rhs_path: str = _field("problem", None)
+    seeds: tuple[int, ...] = _field("solve", (0, 1, 2), "comma-separated run seeds")
+    modes: tuple[str, ...] = _field("solve", ("rcd", "rcd-coordwise"), choices=MODES)
+    batch_sizes: tuple[int, ...] = _field("solve", (1,), "comma-separated tau values")
+    scheme: str = _field("solve", "uniform-subset", choices=SCHEMES)
+    max_iters: int = _field("solve", 200000)
+    gap_rtol: float = _field("solve", 1e-4, "stop at F - F* <= gap_rtol * initial gap")
+    ref_tol: float = _field("solve", 1e-10)
+    ref_max_iters: int = _field("solve", 500000)
+    trace_stride: int = _field("output", 1)
+    outdir: str = _field("output", "out")
+    write_traces: bool = _field("output", True, "write one trace CSV per cell")
+    trace_mapping_norm: bool = _field("output", True, "fill the mapping-norm column")
 
 
 def build_problem(cfg):
     """Problem plus the data it was built from, for a config."""
-    box = None
-    if cfg.box_lb is not None or cfg.box_ub is not None:
-        lb = cfg.box_lb if cfg.box_lb is not None else -np.inf
-        ub = cfg.box_ub if cfg.box_ub is not None else np.inf
-        box = (lb, ub)
+    box = (cfg.box_lb, cfg.box_ub)
     if cfg.source == "generate-lasso":
-        gen = generate_lasso(cfg.m, cfg.n, cfg.sparsity, lam=cfg.lam, box=box,
-                             seed=cfg.problem_seed, block_size=cfg.block_size,
-                             noise=cfg.noise)
-    elif cfg.source == "generate-logistic":
-        gen = generate_logistic(cfg.num_samples, cfg.n, cfg.sparsity,
-                                lam=cfg.lam, seed=cfg.problem_seed,
-                                block_size=cfg.block_size)
-    elif cfg.source == "generate-dual":
-        gen = generate_dual(cfg.num_parts, seed=cfg.problem_seed,
-                            block_size=cfg.block_size)
-    elif cfg.source == "load-matrix":
+        return generate_lasso(cfg.m, cfg.n, cfg.sparsity, lam=cfg.lam, box=box,
+                              seed=cfg.problem_seed, block_size=cfg.block_size,
+                              noise=cfg.noise)
+    if cfg.source == "generate-logistic":
+        return generate_logistic(cfg.num_samples, cfg.n, cfg.sparsity,
+                                 lam=cfg.lam, seed=cfg.problem_seed,
+                                 block_size=cfg.block_size)
+    if cfg.source == "generate-dual":
+        return generate_dual(cfg.num_parts, seed=cfg.problem_seed,
+                             block_size=cfg.block_size)
+    if cfg.source == "load-matrix":
         if not cfg.matrix_path or not cfg.rhs_path:
             raise InputError("load-matrix needs matrix_path and rhs_path")
         mat = load_matrix(cfg.matrix_path)
         rhs = load_vector(cfg.rhs_path)
         problem = lasso_from_matrix(mat, rhs, cfg.lam, box=box,
                                     block_size=cfg.block_size)
-        gen = GeneratedProblem(problem=problem, matrix=mat, rhs=rhs, extras={})
-    else:
-        raise InputError(f"unknown problem source {cfg.source!r}; "
-                         f"choose one of {SOURCES}")
-    return gen
+        return GeneratedProblem(problem=problem, matrix=mat, rhs=rhs, extras={})
+    raise InputError(f"unknown problem source {cfg.source!r}; "
+                     f"choose one of {SOURCES}")
 
 
 def reference_solution(problem, tol=1e-10, max_iters=500000, x0=None):
@@ -239,8 +245,10 @@ def run_experiment(cfg):
         files = [write_trace(cfg.outdir, problem, cell, base.fstar)
                  for cell in cells]
 
-    # theoretical sublinear envelopes per batch size, on the trace grid
+    # per batch size: the sublinear envelope on the trace grid, a summary row
     radius = problem.norm_w(base.x0 - base.xstar)
+    density = gen.matrix.nnz / (gen.matrix.rows * gen.matrix.cols)
+    summary_rows = []
     for batch in cfg.batch_sizes:
         bundle = RateBundle(num_blocks=problem.num_blocks, batch_size=batch,
                             radius=radius, initial_gap=max(base.initial_gap, 0.0))
@@ -250,10 +258,6 @@ def run_experiment(cfg):
         path = os.path.join(cfg.outdir, f"bounds_b{batch}.csv")
         write_csv(path, ("k", "sublinear_gap_bound"), rows)
         files.append(path)
-
-    summary_rows = []
-    for batch in cfg.batch_sizes:
-        density = gen.matrix.nnz / (gen.matrix.rows * gen.matrix.cols)
         row = {
             "n": problem.n, "m": gen.matrix.rows, "sparsity": density,
             "max_components_per_block": problem.max_components_per_block,
@@ -281,66 +285,59 @@ def run_experiment(cfg):
 
 # -- configuration files -------------------------------------------------------
 
-_SECTIONS = {
-    "problem": ("source", "m", "n", "num_samples", "num_parts", "sparsity",
-                "block_size", "lam", "box_lb", "box_ub", "noise",
-                "problem_seed", "matrix_path", "rhs_path"),
-    "solve": ("seeds", "modes", "batch_sizes", "scheme", "max_iters",
-              "gap_rtol", "ref_tol", "ref_max_iters"),
-    "output": ("outdir", "trace_stride", "write_traces",
-               "trace_mapping_norm"),
-}
-
-_INT_FIELDS = {"m", "n", "num_samples", "num_parts", "block_size",
-               "problem_seed", "max_iters", "ref_max_iters", "trace_stride"}
-_FLOAT_FIELDS = {"sparsity", "lam", "box_lb", "box_ub", "noise", "gap_rtol",
-                 "ref_tol"}
-_BOOL_FIELDS = {"write_traces", "trace_mapping_norm"}
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-_LIST_INT_FIELDS = {"seeds", "batch_sizes"}
-_LIST_STR_FIELDS = {"modes"}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def load_config(path, overrides=None):
     """ExperimentConfig from an INI file; `overrides` (field -> value) wins.
 
-    Schema: [problem], [solve], [output] sections; list fields are
-    comma-separated.  Unknown keys are rejected.
+    Schema: each field of ExperimentConfig is a key of its [problem],
+    [solve] or [output] section; list fields are comma-separated.  Unknown
+    sections and keys are rejected.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise InputError(f"cannot read config file {path}")
+    sections = {f.metadata["section"] for f in _FIELDS.values()}
     values = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise InputError(f"{path}: unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
+            if key not in _FIELDS or _FIELDS[key].metadata["section"] != section:
                 raise InputError(f"{path}: unknown key {key!r} in [{section}]")
-            values[key] = _parse_field(key, raw, path)
+            values[key] = parse_field(key, raw, path)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**values)
 
 
-def _parse_field(key, raw, path="<config>"):
-    raw = raw.strip()
+def parse_field(key, raw, where="<config>"):
+    """Value of config field `key` from the text of its INI key or flag.
+
+    The field's annotation gives the type: int, float, str, bool (a word of
+    configparser's BOOLEAN_STATES) or tuple[item, ...], a comma-separated
+    list.  Empty values, and values or list items outside the field's
+    choices, are rejected.  `where` names the file or flag in the error.
+    """
+    spec = _FIELDS[key]
+    is_list = get_origin(spec.type) is tuple
+    kind = get_args(spec.type)[0] if is_list else spec.type
+    texts = [v.strip() for v in (raw.split(",") if is_list else [raw]) if v.strip()]
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _BOOL_FIELDS:
-            if raw.lower() in _BOOL_WORDS:
-                return _BOOL_WORDS[raw.lower()]
-            raise ValueError(f"{raw!r} is not one of {', '.join(_BOOL_WORDS)}")
-        if key in _LIST_INT_FIELDS or key in _LIST_STR_FIELDS:
-            items = tuple(v.strip() for v in raw.split(",") if v.strip())
-            if not items:
-                raise ValueError("empty list")
-            return tuple(map(int, items)) if key in _LIST_INT_FIELDS else items
+        if not texts:
+            raise ValueError("empty value")
+        items = tuple(_parse_scalar(kind, spec.metadata["choices"], text)
+                      for text in texts)
     except ValueError as exc:
-        raise InputError(f"{path}: bad value for {key!r}: {exc}") from None
-    return raw
+        raise InputError(f"{where}: bad value for {key!r}: {exc}") from None
+    return items if is_list else items[0]
+
+
+def _parse_scalar(kind, choices, text):
+    if kind is bool:
+        choices, text = configparser.ConfigParser.BOOLEAN_STATES, text.lower()
+    if choices is not None and text not in choices:
+        raise ValueError(f"{text!r} is not one of {', '.join(choices)}")
+    return choices[text] if kind is bool else kind(text)

@@ -53,8 +53,9 @@ def load_matrix(path):
     if not lines or not lines[0].strip().startswith("%%MatrixMarket"):
         raise InputError(f"{path}: line 1: missing MatrixMarket header")
     head = lines[0].strip().lower().split()
-    if head[1:4] != ["matrix", "coordinate", "real"]:
-        raise InputError(f"{path}: line 1: unsupported format {lines[0].strip()!r}")
+    if head[1:] != ["matrix", "coordinate", "real", "general"]:
+        raise InputError(f"{path}: line 1: unsupported format {lines[0].strip()!r}"
+                         f"; only {MATRIX_HEADER!r} is read")
     body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2)
             if ln.strip() and not ln.strip().startswith("%")]
     if not body:

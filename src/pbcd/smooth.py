@@ -8,8 +8,9 @@ Every supported smooth part has the form (Richtarik & Takac, Math. Prog.
 for one sparse matrix M whose rows carry a family code, a parameter p_r and
 a scale s_r:
 
-* RESIDUAL  phi(z) = (z - p)^2 / 2           one row per data row a' of a
-            least-squares / lasso objective; p is the observation, s = 1.
+* RESIDUAL  phi(z) = (z - p)^2 / (2 s)       one row per data row a' of a
+            least-squares / lasso objective; p is the observation, s = 1
+            for the lasso (s weights a row by 1/s).
 * LOGISTIC  phi(z) = log(1 + exp(-p z)) / s  one row per sample of an
             averaged logistic loss; p is the +/-1 label, s the sample count.
 * DUAL      phi(z) = z^2 / (2 s) - p z       the conjugate of the primal term
@@ -52,7 +53,7 @@ def spectral_norm_sq(mat):
 
 def _phi(code, z, p, s):
     if code == RESIDUAL:
-        return 0.5 * (z - p) ** 2
+        return (z - p) ** 2 / (2.0 * s)
     if code == LOGISTIC:
         return np.logaddexp(0.0, -p * z) / s
     return z * z / (2.0 * s) - p * z
@@ -60,7 +61,7 @@ def _phi(code, z, p, s):
 
 def _dphi(code, z, p, s):
     if code == RESIDUAL:
-        return z - p
+        return (z - p) / s
     if code == LOGISTIC:
         return -p * expit(-p * z) / s
     return z / s - p

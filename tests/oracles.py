@@ -147,7 +147,7 @@ def solve_tiny_qp(sigmas, centers, a_mat, rhs):
 
 def component_value(kind, z, p, s):
     if kind == RESIDUAL:
-        return 0.5 * float((z - p) @ (z - p))
+        return float((z - p) @ (z - p)) / (2.0 * s)
     if kind == LOGISTIC:
         return float(np.sum(np.log1p(np.exp(-p * z)))) / s
     return float(z @ z) / (2.0 * s) - float(p @ z)
@@ -155,7 +155,7 @@ def component_value(kind, z, p, s):
 
 def component_deriv(kind, z, p, s):
     if kind == RESIDUAL:
-        return z - p
+        return (z - p) / s
     if kind == LOGISTIC:
         return -p / (1.0 + np.exp(p * z)) / s
     return z / s - p
@@ -179,15 +179,15 @@ def dense_operator(comps, lin):
 def normalized_hessian_min_eig(comps, coord_weights):
     """Smallest eigenvalue, clipped to [0, 1], of the Hessian of residual and
     dual tuples scaled by the coordinate weights w on both sides:
-    D^-1/2 (sum_j mat_j' mat_j / c_j) D^-1/2 with D = diag(w), c_j = 1 for
-    a residual tuple and sigma_j for a dual one, from a dense eigensolve."""
+    D^-1/2 (sum_j mat_j' mat_j / s_j) D^-1/2 with D = diag(w) and s_j the
+    tuple's scale (sigma_j for a dual one), from a dense eigensolve."""
     n = len(coord_weights)
     hess = np.zeros((n, n))
     for kind, mat, _, s in comps:
         if kind == LOGISTIC:
             raise ValueError("logistic components have no constant Hessian")
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        hess += mat.T @ mat / (1.0 if kind == RESIDUAL else float(s))
+        hess += mat.T @ mat / float(s)
     scale = 1.0 / np.sqrt(np.asarray(coord_weights, dtype=float))
     low = np.linalg.eigvalsh(scale[:, None] * hess * scale[None, :])[0]
     return min(max(float(low), 0.0), 1.0)

@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import os
 import re
 
 import numpy as np
 import pytest
 
-from pbcd.cli import main
+from pbcd.cli import _experiment_config, build_parser, main
+from pbcd.experiment import ExperimentConfig, load_config
 
 
 def test_generate_solve_round_trip(tmp_path, capsys):
@@ -184,3 +187,105 @@ def test_optimal_start_converges_in_one_iteration(tmp_path, capsys):
     out = capsys.readouterr().out
     iters = int(re.search(r"converged:gap after (\d+) iterations", out).group(1))
     assert iters <= 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--k-stride", "0"], "--k-stride"),
+    (["bounds", "--k-max", "-1"], "--k-max"),
+    (["gebp-fit", "--sample-radius", "0.01"], "--sample-radius"),
+    (["gebp-fit", "--sample-radius", "nan"], "--sample-radius"),
+    (["gebp-fit", "--samples", "0"], "--samples"),
+], ids=["bounds-zero-stride", "bounds-negative-k-max", "gebp-fit-small-radius",
+        "gebp-fit-nan-radius", "gebp-fit-no-samples"])
+def test_bad_bounds_and_fit_flags_exit_2(capsys, argv, flag):
+    if argv[0] == "bounds":
+        argv = argv + ["--num-blocks", "10", "--batch-size", "2", "--radius",
+                       "1.0", "--initial-gap", "1.0"]
+    else:
+        argv = argv + ["--m", "6", "--n", "5", "--sparsity", "0.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and flag in err
+
+
+def test_bounds_reports_the_bound_at_k_max(capsys):
+    # the curve's last k is 90 at stride 30; the reported bound is at 100
+    assert main(["bounds", "--num-blocks", "10", "--batch-size", "2", "--radius",
+                 "1.0", "--initial-gap", "1.0", "--k-max", "100",
+                 "--k-stride", "30"]) == 0
+    assert "at k=100: 0.07142857142857142\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, ini, key", [
+    (["solve", "--modes", "rcd,bogus"], None, "modes"),
+    (["solve", "--scheme", "bogus"], None, "scheme"),
+    (["compare", "--source", "bogus"], None, "source"),
+    (["solve"], "[solve]\nmodes = bogus\n", "modes"),
+    (["solve"], "[solve]\nscheme = bogus\n", "scheme"),
+    (["gebp-fit"], "[problem]\nsource = bogus\n", "source"),
+    (["solve", "--outdir", ""], None, "outdir"),
+], ids=["solve-bad-mode", "solve-bad-scheme", "compare-bad-source",
+        "config-bad-mode", "config-bad-scheme", "config-bad-source",
+        "solve-empty-outdir"])
+def test_bad_choice_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                            argv, ini, key):
+    import pbcd.experiment
+    monkeypatch.setattr(pbcd.experiment, "reference_solution", None)
+    argv = argv + ["--m", "6", "--n", "5", "--sparsity", "0.5"]
+    if "--outdir" not in argv:
+        argv += ["--outdir", str(tmp_path / "o")]
+    if ini is not None:
+        path = tmp_path / "exp.ini"
+        path.write_text(ini)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# one non-default value per ExperimentConfig field, as its INI/flag text
+SCHEMA_SAMPLES = {
+    "source": "generate-dual", "m": "7", "n": "9", "num_samples": "11",
+    "num_parts": "3", "sparsity": "0.25", "block_size": "2", "lam": "0.5",
+    "box_lb": "-2.5", "box_ub": "1.5", "noise": "0.125", "problem_seed": "4",
+    "matrix_path": "a.mtx", "rhs_path": "b.vec", "seeds": "3, 5",
+    "modes": "full,rcd", "batch_sizes": "2,4", "scheme": "shuffle-partition",
+    "max_iters": "17", "gap_rtol": "0.001", "ref_tol": "1e-08",
+    "ref_max_iters": "19", "trace_stride": "3", "outdir": "elsewhere",
+    "write_traces": "false", "trace_mapping_norm": "no",
+}
+
+
+def _options(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.option_strings}
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "gebp-fit"])
+def test_every_config_field_reads_the_same_from_ini_and_flag(tmp_path, command):
+    specs = dataclasses.fields(ExperimentConfig)
+    assert set(SCHEMA_SAMPLES) == {spec.name for spec in specs}
+    options = _options(command)
+    default = ExperimentConfig()
+    for spec in specs:
+        text = SCHEMA_SAMPLES[spec.name]
+        path = tmp_path / f"{spec.name}.ini"
+        path.write_text(f"[{spec.metadata['section']}]\n{spec.name} = {text}\n")
+        from_ini = load_config(path)
+        action = options[spec.name]
+        flag = action.option_strings[0]
+        argv = [command, flag] if action.nargs == 0 else [command, flag, text]
+        from_flag = _experiment_config(build_parser().parse_args(argv))
+        assert from_ini == from_flag
+        assert getattr(from_ini, spec.name) != getattr(default, spec.name)
+        assert dataclasses.replace(from_ini, **{spec.name: getattr(
+            default, spec.name)}) == default
+
+
+def test_generate_takes_problem_flags_and_outdir():
+    problem = {spec.name for spec in dataclasses.fields(ExperimentConfig)
+               if spec.metadata["section"] == "problem"}
+    assert set(_options("generate")) == problem | {"outdir", "config", "help"}
+    assert set(_options("solve")) == {spec.name for spec in dataclasses.fields(
+        ExperimentConfig)} | {"config", "help"}

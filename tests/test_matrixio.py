@@ -82,3 +82,14 @@ def test_comments_and_blanks_skipped(tmp_path):
             "% generated for a test\n\n2 2 1\n% entry follows\n1 2 -3.5\n")
     mat = load_matrix(_write(tmp_path, text))
     assert mat.to_dense()[0, 1] == -3.5
+
+
+@pytest.mark.parametrize("qualifier", ["symmetric", "skew-symmetric", "hermitian",
+                                       "", "general extra"])
+def test_only_general_header_read(tmp_path, qualifier):
+    # a symmetric file stores one triangle; read as general it would lose
+    # the (1, 2) entry
+    text = (f"%%MatrixMarket matrix coordinate real {qualifier}\n2 2 3\n"
+            "1 1 1.0\n2 1 2.0\n2 2 3.0\n")
+    with pytest.raises(InputError, match="line 1: unsupported format"):
+        load_matrix(_write(tmp_path, text))

@@ -11,7 +11,7 @@ from pbcd.matrixio import MatrixFile
 from pbcd.problem import CompositeProblem
 from pbcd.smooth import (DUAL, LOGISTIC, RESIDUAL, SmoothOperator,
                          spectral_norm_sq)
-from pbcd.solver import init_solver_state, step
+from pbcd.solver import SolverConfig, init_solver_state, run, step
 
 from oracles import central_diff_gradient, dense_operator
 
@@ -216,6 +216,49 @@ def test_dual_constants_bound_curvature(mat, sigma, block, seed):
     bound = (prob.smooth_value(x) + float(g @ d)
              + 0.5 * prob.weights[i] * float(d @ d))
     assert prob.smooth_value(state.x) <= bound + 1e-9 * (1.0 + abs(bound))
+
+
+def residual_problem(mat, param, scale):
+    """One residual component per row of `mat`, one coordinate per block."""
+    rows, cols = np.nonzero(mat)
+    op = SmoothOperator.from_entries(
+        mat.shape[1], rows, cols, mat[rows, cols], np.full(mat.shape[0], RESIDUAL),
+        param, scale, np.arange(mat.shape[0]))
+    return CompositeProblem(BlockPartition.uniform(mat.shape[1], 1), op)
+
+
+def test_scaled_residual_row_solves_in_full_mode():
+    # f(x) = (x1 + x2 - 1)^2 / 8: curvature 2/4 along (1, 1), which the
+    # constant must bound, or full mode overshoots and raises
+    prob = residual_problem(np.array([[1.0, 1.0]]), [1.0], [4.0])
+    assert prob.smooth.lipschitz[0] == 0.5
+    z = np.array([3.0])
+    assert prob.smooth.values(z)[0] == 0.5 and prob.smooth.derivs(z)[0] == 0.5
+    res = run(prob, SolverConfig(mode="full", max_iters=50), np.zeros(2))
+    assert res.objective < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat=cancelling_matrices(),
+       scales=st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+       block=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+@example(mat=np.array([[1.0, 1.0]]), scales=[4.0] * 4, block=0, seed=0)
+def test_scaled_residual_constants_bound_curvature(mat, scales, block, seed):
+    rng = np.random.default_rng(seed)
+    prob = residual_problem(mat, rng.normal(size=mat.shape[0]),
+                            scales[:mat.shape[0]])
+    # one block step satisfies the descent inequality with the block weight
+    x = rng.normal(size=prob.n)
+    i = block % prob.num_blocks
+    g = prob.smooth_gradient(x)
+    state = init_solver_state(prob, x)
+    step(prob, state, [i])
+    d = state.x - x
+    bound = (prob.smooth_value(x) + float(g @ d)
+             + 0.5 * prob.weights[i] * float(d @ d))
+    assert prob.smooth_value(state.x) <= bound + 1e-9 * (1.0 + abs(bound))
+    # and full mode, which checks its own descent, runs through
+    run(prob, SolverConfig(mode="full", max_iters=20), x)
 
 
 # -- shared properties --------------------------------------------------------
