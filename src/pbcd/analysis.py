@@ -217,36 +217,56 @@ class ErrorBoundFit:
 def _min_sum_two_var_lp(a, b, c):
     """Minimize p + q over p, q >= 0 subject to a*p + b*q >= c (vectors).
 
-    Exact constraint-intersection enumeration; a, b are nonnegative so the
-    feasible set is nonempty and the optimum is attained at a vertex.
+    Exact in O(m log m) for nonnegative a, b.  Rows with c <= 0 hold at the
+    origin and drop out; rows with b = 0 bound p below by p_lo = max c / a.
+    Every other row is the line q >= (c - a p) / b, and the upper envelope
+    E of those lines and q >= 0 is convex and nonincreasing, so p + E(p) is
+    smallest at the first p >= 0 where E's slope reaches -1, or at p_lo if
+    that is larger.  The envelope is one monotone stack over the lines
+    sorted by slope.  q is then E(p), the largest (c - a p) / b over the
+    rows of slope >= -1, taken directly at p rather than from the vertex.
     """
-    cands = [(0.0, 0.0)]
-    pos_a = a > 0.0
-    pos_b = b > 0.0
-    cands.extend((ci / ai, 0.0) for ai, ci in zip(a[pos_a], c[pos_a]))
-    cands.extend((0.0, ci / bi) for bi, ci in zip(b[pos_b], c[pos_b]))
-    m = a.size
-    for s in range(m):
-        for t in range(s + 1, m):
-            det = a[s] * b[t] - a[t] * b[s]
-            scale = max(abs(a[s] * b[t]), abs(a[t] * b[s]), 1e-300)
-            if abs(det) <= 1e-12 * scale:
-                continue
-            p = (c[s] * b[t] - c[t] * b[s]) / det
-            q = (a[s] * c[t] - a[t] * c[s]) / det
-            if p >= -1e-12 and q >= -1e-12:
-                cands.append((max(p, 0.0), max(q, 0.0)))
-    feas_tol = 1e-9 * max(1.0, float(np.max(c)) if c.size else 1.0)
-    best = None
-    for p, q in cands:
-        if np.all(p * a + q * b >= c - feas_tol):
-            if best is None or p + q < best[0] + best[1]:
-                best = (p, q)
-    if best is None:
-        # unreachable for nonnegative data; guard with a generous cover
-        big = float(np.max(np.where(a > 0, c / np.maximum(a, 1e-300), 0.0)))
-        best = (big, 0.0)
-    return best
+    pos = c > 0.0
+    a, b, c = a[pos], b[pos], c[pos]
+    if c.size == 0:
+        return 0.0, 0.0
+    on_p = b == 0.0
+    if np.any(on_p & (a == 0.0)):
+        # no (p, q) covers c > 0 with a = b = 0; return a generous cover
+        return float(np.max(np.where(a > 0, c / np.maximum(a, 1e-300), 0.0))), 0.0
+    p_lo = float(np.max(c[on_p] / a[on_p])) if on_p.any() else 0.0
+    # the lines, then q >= 0 as the row (0, 1, 0)
+    line = ~on_p
+    a, b, c = np.r_[a[line], 0.0], np.r_[b[line], 1.0], np.r_[c[line], 0.0]
+    slope, icept = -a / b, c / b
+    order = np.lexsort((icept, slope))
+    # of lines with one slope only the highest can reach the envelope
+    order = order[np.r_[slope[order[1:]] != slope[order[:-1]], True]]
+    sl, ic = slope.tolist(), icept.tolist()
+    hull = []
+    for k in order.tolist():
+        # drop the top line while line k overtakes the one below it no
+        # later than the top line does
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (ic[i] - ic[k]) * (sl[j] - sl[i]) > (ic[i] - ic[j]) * (sl[k] - sl[i]):
+                break
+            hull.pop()
+        hull.append(k)
+    # slopes rise along the hull and end at 0, so some line has slope >= -1;
+    # the breakpoint before it is the vertex of two rows, by Cramer's rule
+    at = next(n for n, k in enumerate(hull) if sl[k] >= -1.0)
+    p_break = 0.0
+    if at:
+        i, j = hull[at - 1], hull[at]
+        p_break = max(0.0, float((c[i] * b[j] - c[j] * b[i])
+                                 / (a[i] * b[j] - a[j] * b[i])))
+    p = max(p_lo, p_break)
+    # past the breakpoint E is the largest line of slope >= -1 (the zero row
+    # among them); a steeper line lies below it there, and evaluated at the
+    # rounded p it would scale p's rounding error by its slope
+    flat = slope >= -1.0
+    return p, float(np.max((c[flat] - a[flat] * p) / b[flat]))
 
 
 def fit_error_bound_constants(problem, minimizer, points, zero_tol=1e-12):
@@ -258,6 +278,9 @@ def fit_error_bound_constants(problem, minimizer, points, zero_tol=1e-12):
         The unique minimizer (strongly convex case) or a callable returning
         the weighted-norm projection of a point onto the optimal set.
     points : iterable of vectors
+
+    The coefficients solve the two-variable LP exactly in O(k log k) for
+    k points.
 
     Raises ErrorBoundWitnessError when a sample has zero residual mapping
     but positive distance to the optimal set (no error bound can hold).

@@ -128,28 +128,31 @@ def cmd_bounds(args):
                         radius=args.radius, initial_gap=args.initial_gap,
                         strong_convexity=args.strong_convexity,
                         eb_const=args.eb_const, eb_quad=args.eb_quad)
+    # every requested quantity first, so bad input prints and writes nothing
     rows = [(k, sublinear_gap_bound(bundle, k))
             for k in range(0, args.k_max + 1, args.k_stride)]
-    print(f"sublinear gap bound at k={args.k_max}: "
-          f"{sublinear_gap_bound(bundle, args.k_max)!r}")
+    lines = [f"sublinear gap bound at k={args.k_max}: "
+             f"{sublinear_gap_bound(bundle, args.k_max)!r}"]
+    has_eb = args.eb_const is not None and args.eb_quad is not None
     if args.strong_convexity is not None:
         factor = linear_rate_strongly_convex(bundle)
-        print(f"strongly convex per-iteration factor: {factor!r}")
-    if args.eb_const is not None and args.eb_quad is not None:
+        lines.append(f"strongly convex per-iteration factor: {factor!r}")
+    if has_eb:
         coupling, c1, c2, c3, theta = error_bound_chain(bundle)
-        print(f"error-bound chain: coupling={coupling!r} c1={c1!r} "
-              f"c2={c2!r} c3={c3!r} theta={theta!r}")
+        lines.append(f"error-bound chain: coupling={coupling!r} c1={c1!r} "
+                     f"c2={c2!r} c3={c3!r} theta={theta!r}")
     if args.eps is not None and args.rho is not None:
         k_sub = iters_to_confidence_sublinear(bundle, args.eps, args.rho)
-        print(f"iterations for eps={args.eps} at confidence {1 - args.rho}: "
-              f"{k_sub} (sublinear)")
-        if args.eb_const is not None and args.eb_quad is not None:
+        lines.append(f"iterations for eps={args.eps} at confidence "
+                     f"{1 - args.rho}: {k_sub} (sublinear)")
+        if has_eb:
             k_eb = iters_to_confidence_error_bound(bundle, args.eps, args.rho)
-            print(f"iterations for eps={args.eps} at confidence "
-                  f"{1 - args.rho}: {k_eb} (error bound)")
+            lines.append(f"iterations for eps={args.eps} at confidence "
+                         f"{1 - args.rho}: {k_eb} (error bound)")
     if args.out:
         write_csv(args.out, ("k", "sublinear_gap_bound"), rows)
-        print(f"curve: {args.out}")
+        lines.append(f"curve: {args.out}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -157,6 +160,8 @@ def cmd_gebp_fit(args):
     if args.samples < 1 or not _MIN_SAMPLE_RADIUS <= args.sample_radius < np.inf:
         raise InputError("--samples must be >= 1 and --sample-radius finite "
                          f"and >= {_MIN_SAMPLE_RADIUS}")
+    if args.sample_seed < 0:
+        raise InputError("--sample-seed must be >= 0")
     cfg = _experiment_config(args)
     problem = build_problem(cfg).problem
     base = reference_and_start(problem, cfg)

@@ -30,11 +30,11 @@ from .solver import MODES, SolverConfig, run
 SOURCES = ("generate-lasso", "generate-logistic", "generate-dual", "load-matrix")
 
 
-def _field(section, default, help=None, choices=None):
+def _field(section, default, help=None, choices=None, low=None):
     """A config field read from INI section `section`; `choices` limits its
-    value, or each item of a tuple field."""
+    value, or each item of a tuple field, and so does the lower bound `low`."""
     return field(default=default, metadata={"section": section, "help": help,
-                                            "choices": choices})
+                                            "choices": choices, "low": low})
 
 
 @dataclass
@@ -54,10 +54,11 @@ class ExperimentConfig:
     box_lb: float = _field("problem", -np.inf)
     box_ub: float = _field("problem", np.inf)
     noise: float = _field("problem", 0.01)
-    problem_seed: int = _field("problem", 0)
+    problem_seed: int = _field("problem", 0, low=0)
     matrix_path: str = _field("problem", None)
     rhs_path: str = _field("problem", None)
-    seeds: tuple[int, ...] = _field("solve", (0, 1, 2), "comma-separated run seeds")
+    seeds: tuple[int, ...] = _field("solve", (0, 1, 2), "comma-separated run seeds",
+                                    low=0)
     modes: tuple[str, ...] = _field("solve", ("rcd", "rcd-coordwise"), choices=MODES)
     batch_sizes: tuple[int, ...] = _field("solve", (1,), "comma-separated tau values")
     scheme: str = _field("solve", "uniform-subset", choices=SCHEMES)
@@ -319,7 +320,8 @@ def parse_field(key, raw, where="<config>"):
     The field's annotation gives the type: int, float, str, bool (a word of
     configparser's BOOLEAN_STATES) or tuple[item, ...], a comma-separated
     list.  Empty values, and values or list items outside the field's
-    choices, are rejected.  `where` names the file or flag in the error.
+    choices or below its lower bound, are rejected.  `where` names the file
+    or flag in the error.
     """
     spec = _FIELDS[key]
     is_list = get_origin(spec.type) is tuple
@@ -330,6 +332,9 @@ def parse_field(key, raw, where="<config>"):
             raise ValueError("empty value")
         items = tuple(_parse_scalar(kind, spec.metadata["choices"], text)
                       for text in texts)
+        low = spec.metadata["low"]
+        if low is not None and min(items) < low:
+            raise ValueError(f"{min(items)!r} is below {low!r}")
     except ValueError as exc:
         raise InputError(f"{where}: bad value for {key!r}: {exc}") from None
     return items if is_list else items[0]

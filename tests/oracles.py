@@ -3,6 +3,7 @@
 These deliberately avoid the closed forms under test: gradients come from
 central differences, scalar proximal values from golden-section search,
 tiny constrained quadratic programs from exhaustive active-set enumeration,
+the two-variable error-bound LP from exhaustive vertex enumeration,
 the strong convexity modulus from a dense symmetric eigensolve,
 the smooth part and the sampled step from a per-component evaluation that
 keeps one cache per component, and the block incidence from a dense
@@ -138,6 +139,41 @@ def solve_tiny_qp(sigmas, centers, a_mat, rhs):
                 best = (u, val)
     return best
 
+
+
+def min_sum_two_var_lp(a, b, c):
+    """Minimize p + q over p, q >= 0 subject to a*p + b*q >= c (vectors).
+
+    Exhaustive enumeration of the vertices: the origin, each row's axis
+    intercepts and every pairwise intersection, kept when feasible to
+    feas_tol.  O(m^2); a, b nonnegative.  Returns (p, q, feas_tol).
+    """
+    cands = [(0.0, 0.0)]
+    pos_a = a > 0.0
+    pos_b = b > 0.0
+    cands.extend((ci / ai, 0.0) for ai, ci in zip(a[pos_a], c[pos_a]))
+    cands.extend((0.0, ci / bi) for bi, ci in zip(b[pos_b], c[pos_b]))
+    m = a.size
+    for s in range(m):
+        for t in range(s + 1, m):
+            det = a[s] * b[t] - a[t] * b[s]
+            scale = max(abs(a[s] * b[t]), abs(a[t] * b[s]), 1e-300)
+            if abs(det) <= 1e-12 * scale:
+                continue
+            p = (c[s] * b[t] - c[t] * b[s]) / det
+            q = (a[s] * c[t] - a[t] * c[s]) / det
+            if p >= -1e-12 and q >= -1e-12:
+                cands.append((max(p, 0.0), max(q, 0.0)))
+    feas_tol = 1e-9 * max(1.0, float(np.max(c)) if c.size else 1.0)
+    best = None
+    for p, q in cands:
+        if np.all(p * a + q * b >= c - feas_tol):
+            if best is None or p + q < best[0] + best[1]:
+                best = (p, q)
+    if best is None:
+        big = float(np.max(np.where(a > 0, c / np.maximum(a, 1e-300), 0.0)))
+        best = (big, 0.0)
+    return float(best[0]), float(best[1]), feas_tol
 
 # -- per-component reference for the smooth part and the sampled step ---------
 #

@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.sparse.csgraph import structural_rank
 
-from pbcd.analysis import (RateBundle, bundle_from_reference,
+from pbcd.analysis import (RateBundle, _min_sum_two_var_lp, bundle_from_reference,
                            error_bound_chain, estimate_strong_convexity,
                            fit_error_bound_constants,
                            iters_to_confidence_error_bound,
@@ -16,14 +17,15 @@ from pbcd.analysis import (RateBundle, bundle_from_reference,
 from pbcd.blocks import BlockPartition
 from pbcd.errors import ErrorBoundWitnessError, InputError
 from pbcd.generators import (dual_from_data, generate_dual, generate_lasso,
-                             lasso_from_matrix, logistic_from_matrix)
+                             generate_logistic, lasso_from_matrix,
+                             logistic_from_matrix)
 from pbcd.matrixio import MatrixFile
 from pbcd.problem import CompositeProblem
 from pbcd.smooth import DUAL, RESIDUAL, SmoothOperator
 from pbcd.solver import SolverConfig, run
 
-from oracles import normalized_hessian_min_eig
-from test_problem import corner_problem
+from oracles import min_sum_two_var_lp, normalized_hessian_min_eig
+from test_problem import corner_problem, mixed_problem
 
 
 def bundle(N, tau, **kw):
@@ -408,6 +410,68 @@ def test_fit_on_strongly_convex_quadratic_respects_theory():
     assert fit.const_coeff <= 2.0 / sigma * (1.0 + 1e-6)
 
 
+# -- the two-variable LP behind the fit -----------------------------------------
+
+_COEF = st.floats(0.01, 100.0)
+_OR_ZERO = st.one_of(st.just(0.0), _COEF)
+
+
+@st.composite
+def lp_rows(draw):
+    """a > 0, b and c >= 0 with zeros, plus repeated rows and rows parallel
+    to an earlier one (the same a : b, scaled by a power of two, own c)."""
+    rows = draw(st.lists(st.tuples(_COEF, _OR_ZERO, _OR_ZERO), min_size=1,
+                         max_size=30))
+    for _ in range(draw(st.integers(0, 10))):
+        a, b, c = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            k = draw(st.sampled_from((0.5, 1.0, 2.0, 4.0)))
+            a, b, c = k * a, k * b, draw(_OR_ZERO)
+        rows.append((a, b, c))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _assert_lp_matches(a, b, c):
+    p, q = _min_sum_two_var_lp(a, b, c)
+    po, qo, feas_tol = min_sum_two_var_lp(a, b, c)
+    assert p >= 0.0 and q >= 0.0
+    assert np.all(a * p + b * q >= c - feas_tol)
+    assert abs((p + q) - (po + qo)) <= 1e-12 * (po + qo)
+    return p, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=lp_rows())
+# one steep row: q taken from it at the rounded p would read 2e-14, not 0
+@example(rows=(np.array([98.0, 49.0]), np.array([0.01, 0.005]), np.array([0.0, 1.0])))
+def test_lp_matches_enumeration_and_highs(rows):
+    a, b, c = rows
+    p, q = _assert_lp_matches(a, b, c)
+    lp = linprog([1.0, 1.0], A_ub=-np.column_stack([a, b]), b_ub=-c,
+                 bounds=[(0.0, None)] * 2, method="highs")
+    assert lp.status == 0
+    assert abs((p + q) - lp.fun) <= 1e-12 * abs(lp.fun)
+
+
+@pytest.mark.parametrize("a, b, c, want", [
+    ([], [], [], (0.0, 0.0)),
+    ([1.0, 2.0], [3.0, 0.0], [0.0, 0.0], (0.0, 0.0)),
+    ([2.0], [1.0], [4.0], (2.0, 0.0)),
+    ([1.0, 2.0], [0.0, 0.0], [3.0, 2.0], (3.0, 0.0)),
+    # q >= 4 - 3p, then q >= 2 - p: the envelope has slope -1 on [1, 2],
+    # where p + q = 2 throughout; the solver takes the segment's start
+    ([3.0, 1.0], [1.0, 1.0], [4.0, 2.0], (1.0, 1.0)),
+    # a row with a = b = 0 and c > 0 has no cover: the largest c / a
+    ([0.0, 2.0], [0.0, 0.0], [1.0, 4.0], (2.0, 0.0)),
+], ids=["empty", "all-c-zero", "one-row", "all-b-zero", "slope-minus-one",
+        "uncoverable-row"])
+def test_lp_fixed_cases(a, b, c, want):
+    a, b, c = (np.array(v, dtype=float) for v in (a, b, c))
+    assert _min_sum_two_var_lp(a, b, c) == want
+    # the oracle may end elsewhere on the slope -1 segment
+    assert sum(min_sum_two_var_lp(a, b, c)[:2]) == sum(want)
+
+
 def test_fit_on_corner_problem_ray():
     prob = corner_problem()
     pts = [np.array([t, t], dtype=float) for t in range(1, 101)]
@@ -433,6 +497,56 @@ def test_fit_reports_witness_for_zero_mapping_positive_distance():
     # elsewhere must surface as a witness, not as a fit
     with pytest.raises(ErrorBoundWitnessError):
         fit_error_bound_constants(prob, fake_projection, [np.zeros(2)])
+
+
+def family_problems():
+    """One problem per row family plus the mixed operator, with l1 weights,
+    a block size of 3 and the dual's nonnegativity bounds among them."""
+    return {
+        "lasso": generate_lasso(30, 40, 0.2, lam=0.5, seed=2).problem,
+        "logistic-block-3": generate_logistic(40, 24, 0.2, lam=0.02, seed=3,
+                                              block_size=3).problem,
+        "dual": generate_dual(6, seed=4).problem,
+        "mixed": mixed_problem(np.random.default_rng(1))[0],
+    }
+
+
+@pytest.mark.parametrize("name", list(family_problems()))
+@pytest.mark.parametrize("by_point", [False, True], ids=["array", "callable"])
+def test_fit_takes_the_per_point_norms_and_solves_the_lp(name, by_point):
+    # the fit's norms are the per-point calls' own, and its coefficients
+    # match the enumeration oracle on them
+    prob = family_problems()[name]
+    rng = np.random.default_rng(6)
+    center = prob.project_domain(rng.normal(size=prob.n))
+    points = [prob.project_domain(center + rng.normal(size=prob.n)
+                                  * rng.uniform(0.05, 0.9)) for _ in range(40)]
+    fit = fit_error_bound_constants(
+        prob, (lambda _x: center) if by_point else center, points)
+    assert np.array_equal(fit.distances, [prob.norm_w(x - center) for x in points])
+    assert np.array_equal(fit.residual_norms,
+                          [prob.prox_grad_mapping(x)[1] for x in points])
+    d, g = fit.distances, fit.residual_norms
+    po, qo, _ = min_sum_two_var_lp(g, d ** 2 * g, d)
+    assert abs(fit.const_coeff + fit.quad_coeff - (po + qo)) <= 1e-12 * (po + qo)
+
+
+@pytest.mark.parametrize("points", [
+    [np.zeros(2), np.array([np.nan, 1.0])],
+    [np.zeros(2), np.zeros(3)],
+    [np.zeros(3)],
+    [1.0, 2.0],
+    [np.zeros((2, 2))],
+], ids=["nan", "ragged", "wrong-length", "scalars", "matrix-point"])
+def test_fit_rejects_bad_points(points):
+    with pytest.raises(InputError):
+        fit_error_bound_constants(corner_problem(), np.zeros(2), points)
+
+
+def test_fit_of_no_points_is_zero():
+    fit = fit_error_bound_constants(corner_problem(), np.zeros(2), [])
+    assert (fit.const_coeff, fit.quad_coeff, fit.max_violation) == (0.0, 0.0, 0.0)
+    assert fit.distances.shape == fit.residual_norms.shape == (0,)
 
 
 def test_fit_accepts_samples_at_optimum():

@@ -195,8 +195,9 @@ def test_optimal_start_converges_in_one_iteration(tmp_path, capsys):
     (["gebp-fit", "--sample-radius", "0.01"], "--sample-radius"),
     (["gebp-fit", "--sample-radius", "nan"], "--sample-radius"),
     (["gebp-fit", "--samples", "0"], "--samples"),
+    (["gebp-fit", "--sample-seed", "-1"], "--sample-seed"),
 ], ids=["bounds-zero-stride", "bounds-negative-k-max", "gebp-fit-small-radius",
-        "gebp-fit-nan-radius", "gebp-fit-no-samples"])
+        "gebp-fit-nan-radius", "gebp-fit-no-samples", "gebp-fit-negative-sample-seed"])
 def test_bad_bounds_and_fit_flags_exit_2(capsys, argv, flag):
     if argv[0] == "bounds":
         argv = argv + ["--num-blocks", "10", "--batch-size", "2", "--radius",
@@ -216,6 +217,17 @@ def test_bounds_reports_the_bound_at_k_max(capsys):
     assert "at k=100: 0.07142857142857142\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--strong-convexity", "2"],
+                                   ["--eps", "0.1", "--rho", "2"]],
+                         ids=["bad-strong-convexity", "bad-rho"])
+def test_bad_bounds_rate_prints_and_writes_nothing(tmp_path, capsys, extra):
+    out = tmp_path / "curve.csv"
+    assert main(["bounds", "--num-blocks", "10", "--batch-size", "2", "--radius",
+                 "1", "--initial-gap", "1", "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, ini, key", [
     (["solve", "--modes", "rcd,bogus"], None, "modes"),
     (["solve", "--scheme", "bogus"], None, "scheme"),
@@ -224,9 +236,17 @@ def test_bounds_reports_the_bound_at_k_max(capsys):
     (["solve"], "[solve]\nscheme = bogus\n", "scheme"),
     (["gebp-fit"], "[problem]\nsource = bogus\n", "source"),
     (["solve", "--outdir", ""], None, "outdir"),
+    (["solve", "--seeds", "-1"], None, "seeds"),
+    (["compare", "--seeds", "0,-1"], None, "seeds"),
+    (["solve", "--problem-seed", "-1"], None, "problem_seed"),
+    (["gebp-fit", "--problem-seed", "-1"], None, "problem_seed"),
+    (["solve"], "[solve]\nseeds = -1\n", "seeds"),
+    (["compare"], "[problem]\nproblem_seed = -1\n", "problem_seed"),
 ], ids=["solve-bad-mode", "solve-bad-scheme", "compare-bad-source",
         "config-bad-mode", "config-bad-scheme", "config-bad-source",
-        "solve-empty-outdir"])
+        "solve-empty-outdir", "solve-negative-seed", "compare-negative-seed",
+        "solve-negative-problem-seed", "gebp-fit-negative-problem-seed",
+        "config-negative-seed", "config-negative-problem-seed"])
 def test_bad_choice_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                             argv, ini, key):
     import pbcd.experiment

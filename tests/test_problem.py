@@ -105,11 +105,13 @@ def test_full_gradient_is_concatenated_partials():
         assert np.array_equal(full, parts)
 
 
-def test_fast_gradient_matches_definitional():
-    rng = np.random.default_rng(1)
-    # blocks {0, 1}, {2}, {3, 4}: a residual row on blocks 0 and 2, a
-    # logistic sample on blocks 0 and 1, and a two-row dual component on
-    # blocks 1 and 2 whose linear term lives there too
+def mixed_problem(rng):
+    """Residual, logistic and dual rows in one operator: (problem, comps, lin).
+
+    Blocks {0, 1}, {2}, {3, 4}: a residual row on blocks 0 and 2, a logistic
+    sample on blocks 0 and 1, and a two-row dual component on blocks 1 and 2
+    whose linear term lives there too.
+    """
     part = BlockPartition.from_sizes([2, 1, 2])
     res, logi, dual, lin = (np.zeros((1, 5)), np.zeros((1, 5)),
                             np.zeros((2, 5)), np.zeros(5))
@@ -120,7 +122,12 @@ def test_fast_gradient_matches_definitional():
     lin[2:] = np.r_[rng.normal(size=1), rng.normal(size=2)]
     comps = [(RESIDUAL, res, np.array([0.3]), 1.0),
              (LOGISTIC, logi, np.array([-1.0]), 2.0), (DUAL, dual, center, 1.3)]
-    prob = CompositeProblem(part, dense_operator(comps, lin))
+    return CompositeProblem(part, dense_operator(comps, lin)), comps, lin
+
+
+def test_fast_gradient_matches_definitional():
+    rng = np.random.default_rng(1)
+    prob, comps, lin = mixed_problem(rng)
     for _ in range(10):
         x = rng.normal(size=prob.n)
         va, a = value_and_gradient(comps, lin, x)
