@@ -80,10 +80,16 @@ class BlockPartition:
 
 
 def weighted_norm(x, coord_weights):
-    """||x||_w with per-coordinate weights (use BlockPartition.expand)."""
+    """||x||_w with per-coordinate weights (use BlockPartition.expand).
+
+    A strided x is copied first: np.dot sums a strided vector in another
+    order, so a view and its contiguous copy would differ in the last bits.
+    """
+    x = np.ascontiguousarray(x)
     return float(np.sqrt(np.dot(coord_weights * x, x)))
 
 
 def weighted_norm_inv(x, coord_weights):
-    """||x||_{w^-1}, the dual norm of the weighted norm."""
+    """||x||_{w^-1}, the dual norm of the weighted norm (strided x as above)."""
+    x = np.ascontiguousarray(x)
     return float(np.sqrt(np.dot(x / coord_weights, x)))

@@ -77,6 +77,12 @@ def _experiment_config(args):
     return ExperimentConfig(**overrides)
 
 
+def _warn_if_unconverged(converged):
+    if not converged:
+        print("warning: reference solve did not reach tolerance",
+              file=sys.stderr)
+
+
 def cmd_generate(args):
     cfg = _experiment_config(args)
     gen = build_problem(cfg)
@@ -99,6 +105,7 @@ def cmd_solve(args):
     cfg = _experiment_config(args)
     problem = build_problem(cfg).problem
     base = reference_and_start(problem, cfg)
+    _warn_if_unconverged(base.converged)
     mode, batch, seed = cfg.modes[0], cfg.batch_sizes[0], cfg.seeds[0]
     cell = run_cell(problem, cfg, base, mode, batch, seed)
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -113,6 +120,7 @@ def cmd_solve(args):
 def cmd_compare(args):
     cfg = _experiment_config(args)
     result = run_experiment(cfg)
+    _warn_if_unconverged(result.ref_converged)
     print(f"reference optimum: {result.fstar!r} "
           f"(converged: {result.ref_converged})")
     for row in result.summary_rows:
@@ -165,9 +173,7 @@ def cmd_gebp_fit(args):
     cfg = _experiment_config(args)
     problem = build_problem(cfg).problem
     base = reference_and_start(problem, cfg)
-    if not base.converged:
-        print("warning: reference solve did not reach tolerance",
-              file=sys.stderr)
+    _warn_if_unconverged(base.converged)
     rng = np.random.Generator(np.random.Philox(args.sample_seed))
     points = []
     for _ in range(args.samples):

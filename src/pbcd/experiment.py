@@ -1,11 +1,11 @@
 """Experiment orchestration: reference solves, comparison grids, CSV output.
 
-A run builds one problem, computes a reference optimal value with the
-deterministic full proximal-gradient method at tight tolerance, then solves
-the problem once per (mode, batch size, seed) cell.  Outputs are plain
-CSV: one trace file per cell, one theoretical bound curve file per batch
-size, and a summary table pairing the two stepsize rules' normalized
-coordinate-update counts.
+A run builds one problem, computes a reference optimal value with a
+deterministic accelerated proximal-gradient method (FISTA with adaptive
+restart) at tight tolerance, then solves the problem once per (mode, batch
+size, seed) cell.  Outputs are plain CSV: one trace file per cell, one
+theoretical bound curve file per batch size, and a summary table pairing the
+two stepsize rules' normalized coordinate-update counts.
 
 All numeric CSV fields are written with shortest round-trip formatting, so
 repeated runs with the same configuration produce identical data columns;
@@ -99,23 +99,41 @@ def build_problem(cfg):
 
 
 def reference_solution(problem, tol=1e-10, max_iters=500000, x0=None):
-    """Deterministic full proximal-gradient solve to a tight mapping norm.
+    """Accelerated proximal-gradient solve to a tight mapping norm.
 
-    Returns (x*, F*, converged).  Each iteration's candidate doubles as the
-    next iterate, so the mapping norm is a free byproduct.  F* comes from
-    problem.objective, the same function the solver starts from.
+    FISTA (Beck & Teboulle 2009) in the coord_weights metric, with the
+    gradient-based adaptive restart of O'Donoghue & Candes (2015).  Each
+    iteration takes the prox-gradient point step_to = prox(y - grad(y) / w)
+    at the extrapolated point y.  If <w (y - step_to), step_to - x_prev> > 0
+    the momentum points uphill: t resets to 1 and y to step_to; otherwise
+    y = step_to + (t - 1) / t_next (step_to - x_prev).
+
+    Stops when ||y - step_to||_w <= tol, the weighted mapping norm at y, and
+    returns (step_to, F*, converged) with F* from problem.objective, the
+    function the solver starts from; after max_iters prox-gradient
+    evaluations it returns the last step_to with converged False.  Each
+    iteration costs one gradient and one prox, as a plain proximal-gradient
+    iteration does, and needs far fewer of them on ill-conditioned problems.
     """
     x = problem.project_domain(np.zeros(problem.n) if x0 is None
                                else np.asarray(x0, float))
     cw = problem.coord_weights
+    y, t = x, 1.0
     converged = False
     for _ in range(max_iters):
-        step_to = problem.prox(x - problem.smooth_gradient(x) / cw)
-        gap = x - step_to
-        x = step_to
-        if np.sqrt(float((cw * gap) @ gap)) <= tol:
+        step_to = problem.prox(y - problem.smooth_gradient(y) / cw)
+        gap = y - step_to
+        wgap = cw * gap
+        x_prev, x = x, step_to
+        if np.sqrt(float(wgap @ gap)) <= tol:
             converged = True
             break
+        if float(wgap @ (x - x_prev)) > 0.0:
+            t, y = 1.0, x
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            t = t_next
     return x, float(problem.objective(x)), converged
 
 

@@ -202,3 +202,16 @@ def test_weighted_norms():
     assert weighted_norm(x, cw) == pytest.approx(np.sqrt(4 + 36 + 9), rel=1e-15)
     assert weighted_norm_inv(x, cw) == pytest.approx(
         np.sqrt(1 / 4 + 4 / 9 + 1 / 9), rel=1e-15)
+
+
+def test_weighted_norms_do_not_depend_on_memory_layout():
+    rng = np.random.default_rng(0)
+    cw = rng.uniform(0.5, 2.0, size=300)
+    for row in np.asfortranarray(rng.normal(size=(200, 300))):
+        assert not row.flags.c_contiguous
+        copy = row.copy()
+        assert weighted_norm(row, cw) == weighted_norm(copy, cw)
+        assert weighted_norm_inv(row, cw) == weighted_norm_inv(copy, cw)
+        # contiguous input is summed as it always was, with no copy
+        assert weighted_norm(copy, cw) == float(np.sqrt(np.dot(cw * copy, copy)))
+        assert weighted_norm_inv(copy, cw) == float(np.sqrt(np.dot(copy / cw, copy)))

@@ -70,6 +70,22 @@ def test_gebp_fit_subcommand(capsys):
     assert "max violation" in out
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "gebp-fit"])
+def test_unconverged_reference_warns_on_stderr(tmp_path, capsys, command):
+    args = [command, "--source", "generate-lasso", "--m", "12", "--n", "10",
+            "--sparsity", "0.3", "--lam", "0.4", "--problem-seed", "1",
+            "--modes", "rcd", "--batch-sizes", "2", "--seeds", "0",
+            "--max-iters", "2000", "--outdir", str(tmp_path / "out")]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--ref-max-iters", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: reference solve did not reach tolerance\n"
+    assert "warning" not in captured.out
+    if command != "gebp-fit":
+        assert "(converged: False)" in captured.out
+
+
 def test_input_error_exit_code(capsys):
     rc = main(["solve", "--source", "generate-lasso", "--m", "5", "--n", "10",
                "--sparsity", "0.01"])
