@@ -98,7 +98,7 @@ def build_problem(cfg):
                      f"choose one of {SOURCES}")
 
 
-def reference_solution(problem, tol=1e-10, max_iters=500000, x0=None):
+def reference_solution(problem, tol=1e-10, max_iters=500000):
     """Accelerated proximal-gradient solve to a tight mapping norm.
 
     FISTA (Beck & Teboulle 2009) in the coord_weights metric, with the
@@ -108,15 +108,15 @@ def reference_solution(problem, tol=1e-10, max_iters=500000, x0=None):
     the momentum points uphill: t resets to 1 and y to step_to; otherwise
     y = step_to + (t - 1) / t_next (step_to - x_prev).
 
-    Stops when ||y - step_to||_w <= tol, the weighted mapping norm at y, and
+    Starts at the projection of 0 onto the boxes.  Stops when
+    ||y - step_to||_w <= tol, the weighted mapping norm at y, and
     returns (step_to, F*, converged) with F* from problem.objective, the
     function the solver starts from; after max_iters prox-gradient
     evaluations it returns the last step_to with converged False.  Each
     iteration costs one gradient and one prox, as a plain proximal-gradient
     iteration does, and needs far fewer of them on ill-conditioned problems.
     """
-    x = problem.project_domain(np.zeros(problem.n) if x0 is None
-                               else np.asarray(x0, float))
+    x = problem.project_domain(np.zeros(problem.n))
     cw = problem.coord_weights
     y, t = x, 1.0
     converged = False

@@ -141,25 +141,26 @@ class CompositeProblem:
         op = self.smooth
         return op.transpose @ op.derivs(op.matrix @ x) + op.lin
 
-    def columns_gradient(self, z, cols):
-        """Gradient entries at the coordinates `cols`, from the row values z = M x.
+    def gathered_gradient(self, z, rows, vals, local, lin):
+        """Gradient entries at a set of coordinates, from the row values z = M x.
 
-        Returns the gradient with the rows, values and local column ids of
-        the entries read, which the sampled step reuses.
+        rows, vals and local are the entries of M in those coordinates'
+        columns and each entry's position in the set, as
+        SmoothOperator.columns returns them; lin is the linear term at the
+        coordinates.
         """
         op = self.smooth
-        rows, vals, local = op.columns(cols)
-        g = np.bincount(local, weights=vals * op.derivs(z[rows], rows),
-                        minlength=cols.size)
-        return g + op.lin[cols], rows, vals, local
+        return np.bincount(local, weights=vals * op.derivs(z[rows], rows),
+                           minlength=lin.size) + lin
 
     def partial_gradient(self, x, i):
         """Gradient of the smooth part restricted to block i."""
         x = _check_finite(x, self.n)
         if not 0 <= i < self.num_blocks:
             raise InputError(f"block index {i} out of range")
+        op = self.smooth
         cols = self.partition.coords(np.array([i]))
-        return self.columns_gradient(self.smooth.matrix @ x, cols)[0]
+        return self.gathered_gradient(op.matrix @ x, *op.columns(cols), op.lin[cols])
 
     def reg_value(self, x):
         return reg.value(np.asarray(x, dtype=float), self.lam, self.lb, self.ub)

@@ -10,6 +10,14 @@ Two schemes, both with marginal inclusion probability batch_size / num_blocks:
   permutation is reshuffled at every epoch.  Requires the batch size to
   divide the block count.
 
+Draws come in chunks, so a caller can prepare a whole chunk at once:
+draw_chunk() returns the rest of the current chunk as one array, draw() its
+next row.  A shuffle-partition chunk is one epoch.  A uniform-subset chunk
+is ceil(num_blocks / batch_size) draws whose ranks come from one
+rng.integers call, which uses up the generator's stream exactly as one call
+per draw does; so the draw sequence of a seed does not depend on how it is
+split into draw() and draw_chunk() calls.
+
 The generator is counter-based (Philox) with published constants, so draw
 sequences are reproducible bit-for-bit across platforms for a fixed seed.
 """
@@ -51,23 +59,41 @@ class BlockSampler:
         self.num_blocks = num_blocks
         self._rng = np.random.Generator(np.random.Philox(config.seed))
         self._perm = np.arange(num_blocks, dtype=np.int64)
-        self._cell = 0
+        self._chunk = np.zeros((0, config.batch_size), dtype=np.int64)
+        self._next = 0
+
+    def _new_chunk(self):
+        tau = self.config.batch_size
+        n = self.num_blocks
+        if self.config.scheme == "shuffle-partition":
+            self._rng.shuffle(self._perm)
+            return np.sort(self._perm.reshape(-1, tau), axis=1)
+        # partial Fisher-Yates on the identity, per draw: step t swaps
+        # positions t and ranks[t] >= t; `moved` holds the displaced entries
+        count = -(-n // tau)
+        ranks = self._rng.integers(np.tile(np.arange(tau), count), n)
+        out = []
+        for row in ranks.reshape(count, tau).tolist():
+            moved = {}
+            for t, r in enumerate(row):
+                out.append(moved.get(r, r))
+                moved[r] = moved.get(t, t)
+        return np.sort(np.array(out, dtype=np.int64).reshape(count, tau), axis=1)
+
+    def _rest(self):
+        if self._next == len(self._chunk):
+            self._chunk, self._next = self._new_chunk(), 0
+        return self._chunk[self._next:]
+
+    def draw_chunk(self):
+        """The rest of the current chunk: a (C, batch_size) array, one
+        sorted index set per row, in draw order."""
+        out = self._rest()
+        self._next = len(self._chunk)
+        return out
 
     def draw(self):
         """Next index set, sorted ascending, of size batch_size."""
-        tau = self.config.batch_size
-        n = self.num_blocks
-        if self.config.scheme == "uniform-subset":
-            # partial Fisher-Yates on the identity: step t swaps positions t
-            # and ranks[t] >= t; `moved` holds the displaced entries
-            ranks = self._rng.integers(np.arange(tau), n).tolist()
-            moved, out = {}, []
-            for t, r in enumerate(ranks):
-                out.append(moved.get(r, r))
-                moved[r] = moved.get(t, t)
-            return np.sort(np.array(out, dtype=np.int64))
-        if self._cell == 0:
-            self._rng.shuffle(self._perm)
-        out = np.sort(self._perm[self._cell * tau:(self._cell + 1) * tau].copy())
-        self._cell = (self._cell + 1) % (n // tau)
+        out = self._rest()[0]
+        self._next += 1
         return out

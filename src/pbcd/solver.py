@@ -3,11 +3,16 @@
 One iteration draws an index set S of blocks and updates all of them at
 once from the iteration-start snapshot (synchronous model: no block reads
 another's fresh value within an iteration).  The solver keeps z = M x, the
-row values of the smooth operator, and F(x) as incremental caches.  One
-step gathers the gradient M[:, S]' phi'(z) straight from M's CSC arrays,
-takes one vectorized prox, accumulates the change of z in one pass over the
-rows, and re-evaluates phi only on the rows whose value changed.
-Parallelism is array-level; a fixed seed reproduces a run bit-for-bit.
+row values of the smooth operator, and F(x) as incremental caches.  What a
+step reads besides x and z depends only on which blocks were drawn, so run
+gathers it once per sampler chunk into a GatherPlan: the coordinates of the
+chunk's draws, the CSC entries of M in their columns, and the step weight,
+l1 weight, bounds and linear term of each coordinate (a full-mode run
+builds one plan and reuses it).  A step then slices its draw out of the
+plan, forms the gradient M[:, S]' phi'(z) from the sliced entries, takes
+one vectorized prox, accumulates the change of z in one pass over the rows,
+and re-evaluates phi only on the rows whose value changed.  Parallelism is
+array-level; a fixed seed reproduces a run bit-for-bit.
 
 Modes
 -----
@@ -18,6 +23,7 @@ Modes
 * "full"           deterministic full pass (every block, every iteration)
 """
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -122,7 +128,43 @@ def coordwise_weights(problem, batch_size):
     return float(beta) * coordinatewise_constants(problem)
 
 
-def step(problem, state, idx, weights=None, enforce_descent=True):
+class GatherPlan:
+    """Everything a chunk of draws reads that does not depend on the iterate.
+
+    `draws` is a (C, tau) array of block index sets, `coord_weights` the
+    per-coordinate step weights.  The coordinates of all draws are stored
+    one draw after another, with the CSC entries of M in their columns; an
+    entry's local id is its coordinate's position within its own draw.
+    row(c) is draw c's part, as slices.
+    """
+
+    def __init__(self, problem, draws, coord_weights):
+        part, op = problem.partition, problem.smooth
+        cols = part.coords(draws.ravel())
+        coord_offsets = np.zeros(len(draws) + 1, dtype=np.int64)
+        np.cumsum(part.block_sizes[draws].sum(axis=1), out=coord_offsets[1:])
+        rows, vals, local = op.columns(cols)
+        entry_offsets = np.searchsorted(local, coord_offsets)
+        local -= coord_offsets[:-1].repeat(np.diff(entry_offsets))
+        self.coord_offsets = coord_offsets.tolist()
+        self.entry_offsets = entry_offsets.tolist()
+        self.entries = (rows, vals, local)
+        self.coords = (cols, coord_weights[cols], problem.lam[cols],
+                       problem.lb[cols], problem.ub[cols], op.lin[cols])
+
+    def row(self, c):
+        """Draw c's part: (cols, rows, vals, local, w, lam, lb, ub, lin), its
+        coordinates, the entries of M in their columns, and the coordinates'
+        step weights, l1 weights, bounds and linear term."""
+        cs = slice(self.coord_offsets[c], self.coord_offsets[c + 1])
+        es = slice(self.entry_offsets[c], self.entry_offsets[c + 1])
+        cols, w, lam, lb, ub, lin = self.coords
+        rows, vals, local = self.entries
+        return (cols[cs], rows[es], vals[es], local[es], w[cs], lam[cs], lb[cs],
+                ub[cs], lin[cs])
+
+
+def step(problem, state, idx, weights=None, enforce_descent=True, *, plan=None):
     """One iteration over the distinct blocks `idx` (updates `state` in place).
 
     Blocks outside `idx` are untouched.  Every selected coordinate takes its
@@ -130,28 +172,32 @@ def step(problem, state, idx, weights=None, enforce_descent=True):
 
         g = M[:, S]' phi'(z) + lin[S],  x_S <- prox(x_S - g / w_S),
 
-    then z and F are updated over the rows whose value changed.
+    then z and F are updated over the rows whose value changed.  `plan` is
+    the GatherPlan row of idx, built with the coordinate weights of
+    `weights`, as run passes it; without it idx is checked and gathered
+    here.
     """
-    idx = np.asarray(idx, dtype=np.int64).ravel()
-    if idx.size == 0:
-        return state
-    if int(idx.min()) < 0 or int(idx.max()) >= problem.num_blocks:
-        raise InputError("block index out of range in update set")
-    wdiag = problem.weights if weights is None else weights
-    part, op = problem.partition, problem.smooth
-    cols = part.coords(idx)
-    g, rows, vals, local = problem.columns_gradient(state.z, cols)
+    if plan is None:
+        idx = np.asarray(idx, dtype=np.int64).ravel()
+        if idx.size == 0:
+            return state
+        if int(idx.min()) < 0 or int(idx.max()) >= problem.num_blocks:
+            raise InputError("block index out of range in update set")
+        cw = problem.coord_weights if weights is None \
+            else problem.partition.expand(weights)
+        plan = GatherPlan(problem, idx[None, :], cw).row(0)
+    op = problem.smooth
+    cols, rows, vals, local, w, lam, lb, ub, lin = plan
+    g = problem.gathered_gradient(state.z, rows, vals, local, lin)
     old = state.x[cols]
-    w = np.repeat(wdiag[idx], part.block_sizes[idx])
-    lam = problem.lam[cols]
-    new = reg.prox(old - g / w, lam, problem.lb[cols], problem.ub[cols], w)
+    new = reg.prox(old - g / w, lam, lb, ub, w)
     dx = new - old
     dz = np.bincount(rows, weights=vals * dx[local], minlength=state.z.size)
     touched = dz.nonzero()[0]
     z_old = state.z[touched]
     z_new = z_old + dz[touched]
     delta = float(np.sum(op.values(z_new, touched) - op.values(z_old, touched)))
-    delta += float(op.lin[cols] @ dx) + float(lam @ (np.abs(new) - np.abs(old)))
+    delta += float(lin @ dx) + float(lam @ (np.abs(new) - np.abs(old)))
     f_old = state.f_value
     state.x[cols] = new
     state.z[touched] = z_new
@@ -162,6 +208,20 @@ def step(problem, state, idx, weights=None, enforce_descent=True):
             f"objective rose from {f_old!r} to {state.f_value!r} in a "
             "descent-guaranteed mode")
     return state
+
+
+def _draws(problem, sampler, coord_weights):
+    """Endless (index set, GatherPlan row) pairs: one plan per sampler chunk,
+    or in full mode (no sampler) one plan for the every-block set."""
+    if sampler is None:
+        full = np.arange(problem.num_blocks, dtype=np.int64)[None, :]
+        yield from itertools.repeat(
+            (full[0], GatherPlan(problem, full, coord_weights).row(0)))
+    while True:
+        chunk = sampler.draw_chunk()
+        plan = GatherPlan(problem, chunk, coord_weights)
+        for c in range(len(chunk)):
+            yield chunk[c], plan.row(c)
 
 
 def verify_and_refresh_caches(problem, state, rtol=CACHE_RTOL):
@@ -213,7 +273,6 @@ def run(problem, config, x0):
     state = init_solver_state(problem, problem.project_domain(x0))
 
     num_blocks = problem.num_blocks
-    full_set = np.arange(num_blocks, dtype=np.int64)
     if config.mode == "full":
         sampler = None
         batch = num_blocks
@@ -243,9 +302,11 @@ def run(problem, config, x0):
     record(0, 0)
     converged = False
     status = "max-iters"
+    draws = _draws(problem, sampler, problem.partition.expand(weights))
     while state.k < config.max_iters:
-        idx = full_set if sampler is None else sampler.draw()
-        step(problem, state, idx, weights=weights, enforce_descent=enforce)
+        idx, plan = next(draws)
+        step(problem, state, idx, weights=weights, enforce_descent=enforce,
+             plan=plan)
         state.k += 1
         state.coordinate_updates += int(idx.size)
         if state.k % RECOMPUTE_STRIDE == 0:

@@ -8,7 +8,10 @@ reference optimum from plain proximal gradient and, on lasso, a duality gap,
 the strong convexity modulus from a dense symmetric eigensolve,
 the smooth part and the sampled step from a per-component evaluation that
 keeps one cache per component, and the block incidence from a dense
-component x block table filled one stored entry at a time.  Each test writes
+component x block table filled one stored entry at a time.  The chunked
+sampler and the run loop that gathers once per chunk are held against the
+earlier one-call-per-draw sampler and per-draw step, kept here unchanged.
+Each test writes
 its per-component tuples itself; dense_operator turns them into the operator
 under test, and the value, gradient and step oracles never read that
 operator back.
@@ -19,7 +22,12 @@ import math
 
 import numpy as np
 
+from pbcd import regularizers as reg
+from pbcd.errors import DescentViolationError, InputError
 from pbcd.smooth import LOGISTIC, RESIDUAL, SmoothOperator
+from pbcd.solver import (DESCENT_TOL, RECOMPUTE_STRIDE, SolveResult, Trace,
+                         coordwise_weights, init_solver_state,
+                         verify_and_refresh_caches)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -326,3 +334,132 @@ def lasso_duality_gap(mat, rhs, scale, lam, x):
     primal = float(np.sum(resid * resid / (2.0 * scale)) + lam @ np.abs(x))
     dual = -float(np.sum(scale * u * u / 2.0 + rhs * u))
     return primal - dual
+
+
+# -- one draw at a time --------------------------------------------------------
+#
+# The sampler, step and run loop as they were before draws came in chunks and
+# a step's gather was planned once per chunk: one rng.integers call or one
+# permutation slice per draw, and one SmoothOperator.columns call per step.
+
+class PerCallSampler:
+    """BlockSampler with one generator call per uniform-subset draw."""
+
+    def __init__(self, config, num_blocks):
+        self.config = config
+        self.num_blocks = num_blocks
+        self._rng = np.random.Generator(np.random.Philox(config.seed))
+        self._perm = np.arange(num_blocks, dtype=np.int64)
+        self._cell = 0
+
+    def draw(self):
+        tau = self.config.batch_size
+        n = self.num_blocks
+        if self.config.scheme == "uniform-subset":
+            ranks = self._rng.integers(np.arange(tau), n).tolist()
+            moved, out = {}, []
+            for t, r in enumerate(ranks):
+                out.append(moved.get(r, r))
+                moved[r] = moved.get(t, t)
+            return np.sort(np.array(out, dtype=np.int64))
+        if self._cell == 0:
+            self._rng.shuffle(self._perm)
+        out = np.sort(self._perm[self._cell * tau:(self._cell + 1) * tau].copy())
+        self._cell = (self._cell + 1) % (n // tau)
+        return out
+
+
+def per_draw_step(problem, state, idx, weights=None, enforce_descent=True):
+    """One sampled step that gathers M[:, S] and the step data on every call."""
+    idx = np.asarray(idx, dtype=np.int64).ravel()
+    if idx.size == 0:
+        return state
+    if int(idx.min()) < 0 or int(idx.max()) >= problem.num_blocks:
+        raise InputError("block index out of range in update set")
+    wdiag = problem.weights if weights is None else weights
+    part, op = problem.partition, problem.smooth
+    cols = part.coords(idx)
+    rows, vals, local = op.columns(cols)
+    g = np.bincount(local, weights=vals * op.derivs(state.z[rows], rows),
+                    minlength=cols.size)
+    g = g + op.lin[cols]
+    old = state.x[cols]
+    w = np.repeat(wdiag[idx], part.block_sizes[idx])
+    lam = problem.lam[cols]
+    new = reg.prox(old - g / w, lam, problem.lb[cols], problem.ub[cols], w)
+    dx = new - old
+    dz = np.bincount(rows, weights=vals * dx[local], minlength=state.z.size)
+    touched = dz.nonzero()[0]
+    z_old = state.z[touched]
+    z_new = z_old + dz[touched]
+    delta = float(np.sum(op.values(z_new, touched) - op.values(z_old, touched)))
+    delta += float(op.lin[cols] @ dx) + float(lam @ (np.abs(new) - np.abs(old)))
+    f_old = state.f_value
+    state.x[cols] = new
+    state.z[touched] = z_new
+    state.f_value = f_old + delta
+    if enforce_descent and not (state.f_value
+                                <= f_old + DESCENT_TOL * (1.0 + abs(f_old))):
+        raise DescentViolationError(
+            f"objective rose from {f_old!r} to {state.f_value!r} in a "
+            "descent-guaranteed mode")
+    return state
+
+
+def per_draw_run(problem, config, x0):
+    """pbcd.solver.run's loop over PerCallSampler draws and per_draw_step
+    (a valid config assumed)."""
+    state = init_solver_state(problem, problem.project_domain(x0))
+    num_blocks = problem.num_blocks
+    full_set = np.arange(num_blocks, dtype=np.int64)
+    if config.mode == "full":
+        sampler = None
+        batch = num_blocks
+    else:
+        sampler = PerCallSampler(config.sampler, num_blocks)
+        batch = config.sampler.batch_size
+    if config.mode == "rcd-coordwise":
+        weights = coordwise_weights(problem, batch)
+        enforce = False
+    else:
+        weights = problem.weights
+        enforce = True
+    check_stride = config.check_stride
+    if check_stride is None:
+        check_stride = max(1, int(np.ceil(10.0 * num_blocks / batch)))
+    trace = Trace()
+
+    def mapping_norm():
+        return problem.prox_grad_mapping(state.x)[1]
+
+    def record(k, s_size):
+        g = mapping_norm() if config.trace_mapping_norm else np.nan
+        trace.record(k, state.f_value, g, s_size, 0.0)
+
+    record(0, 0)
+    converged = False
+    status = "max-iters"
+    while state.k < config.max_iters:
+        idx = full_set if sampler is None else sampler.draw()
+        per_draw_step(problem, state, idx, weights=weights, enforce_descent=enforce)
+        state.k += 1
+        state.coordinate_updates += int(idx.size)
+        if state.k % RECOMPUTE_STRIDE == 0:
+            verify_and_refresh_caches(problem, state)
+        if state.k % config.trace_stride == 0 or state.k == config.max_iters:
+            record(state.k, idx.size)
+        if config.eps_gap is not None \
+                and state.f_value - config.fstar <= config.eps_gap:
+            converged, status = True, "converged:gap"
+            break
+        if config.eps_mapping is not None \
+                and state.k % check_stride == 0 \
+                and mapping_norm() <= config.eps_mapping:
+            converged, status = True, "converged:mapping-norm"
+            break
+    record(state.k, batch if state.k else 0)
+    return SolveResult(x=state.x.copy(), objective=state.f_value, trace=trace,
+                       converged=converged, status=status,
+                       iterations=state.k,
+                       coordinate_updates=state.coordinate_updates,
+                       state=state)

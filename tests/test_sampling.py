@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pbcd.errors import InputError
-from pbcd.sampling import BlockSampler, SamplerConfig
+from pbcd.sampling import SCHEMES, BlockSampler, SamplerConfig
 
-from oracles import all_subsets_of_size
+from oracles import PerCallSampler, all_subsets_of_size
 
 
 def test_full_batch_always_everything():
@@ -123,3 +123,60 @@ def test_invalid_configs():
         BlockSampler(SamplerConfig(5), 4)
     with pytest.raises(InputError):
         BlockSampler(SamplerConfig(3, "shuffle-partition"), 8)
+
+
+# -- chunks of draws -----------------------------------------------------------
+
+STREAM_CASES = [(10, 1, 5), (10, 5, 5), (10, 10, 5), (12, 3, 1), (12, 4, 7),
+                (36, 6, 11), (40, 4, 23), (1000, 200, 3)]
+
+
+def chunk_size(scheme, n, tau):
+    return n // tau if scheme == "shuffle-partition" else -(-n // tau)
+
+
+@pytest.mark.parametrize("scheme,n,tau,seed", [
+    (scheme,) + case for scheme in SCHEMES for case in STREAM_CASES
+] + [("uniform-subset", 10, 3, 5), ("uniform-subset", 37, 17, 9)])
+def test_chunk_rows_continue_the_draw_stream(scheme, n, tau, seed):
+    chunked = BlockSampler(SamplerConfig(tau, scheme, seed=seed), n)
+    single = BlockSampler(SamplerConfig(tau, scheme, seed=seed), n)
+    full = chunk_size(scheme, n, tau)
+    # whole chunks, draw() calls between chunks (also right at a chunk's
+    # end), and chunks that return a chunk's rest after a draw(): the
+    # sequence runs over several epochs of shuffle-partition
+    pattern = ["chunk", "draw", "chunk", "chunk", "draw", "draw", "chunk"] * 3
+    used = 0
+    for call in pattern:
+        if call == "draw":
+            rows = chunked.draw()[None, :]
+        else:
+            rows = chunked.draw_chunk()
+            assert rows.shape == (full - used % full, tau)
+        assert rows.dtype == np.int64
+        assert np.all(np.diff(rows, axis=1) > 0)
+        for row in rows:
+            assert np.array_equal(row, single.draw())
+        used += len(rows)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n,tau,seed", STREAM_CASES)
+def test_draw_sequence_unchanged_from_one_call_per_draw(scheme, n, tau, seed):
+    sampler = BlockSampler(SamplerConfig(tau, scheme, seed=seed), n)
+    oracle = PerCallSampler(SamplerConfig(tau, scheme, seed=seed), n)
+    chunks = [sampler.draw_chunk() for _ in range(4)]
+    assert [len(c) for c in chunks] == [chunk_size(scheme, n, tau)] * 4
+    for row in np.concatenate(chunks):
+        assert np.array_equal(row, oracle.draw())
+
+
+def test_shuffle_partition_chunk_is_the_rest_of_an_epoch():
+    n, tau = 12, 3
+    s = BlockSampler(SamplerConfig(tau, "shuffle-partition", seed=4), n)
+    for _ in range(3):
+        first = s.draw()
+        rest = s.draw_chunk()
+        assert len(rest) == n // tau - 1
+        assert np.array_equal(np.sort(np.concatenate([first, rest.ravel()])),
+                              np.arange(n))

@@ -3,16 +3,19 @@ import copy
 import numpy as np
 import pytest
 
-from oracles import run_component_oracle
+from oracles import per_draw_run, per_draw_step, run_component_oracle
 
-from pbcd.errors import CacheConsistencyError, InputError
+from pbcd.blocks import BlockPartition
+from pbcd.errors import CacheConsistencyError, DescentViolationError, InputError
+from pbcd.experiment import reference_solution
 from pbcd.generators import (generate_dual, generate_lasso, generate_logistic,
                              lasso_from_matrix)
 from pbcd.matrixio import MatrixFile
+from pbcd.problem import CompositeProblem
 from pbcd.sampling import BlockSampler, SamplerConfig
-from pbcd.smooth import DUAL, LOGISTIC, RESIDUAL
-from pbcd.solver import (SolverConfig, coordwise_weights, init_solver_state,
-                         run, step, verify_and_refresh_caches)
+from pbcd.smooth import DUAL, LOGISTIC, RESIDUAL, SmoothOperator
+from pbcd.solver import (RECOMPUTE_STRIDE, SolverConfig, coordwise_weights,
+                         init_solver_state, run, step, verify_and_refresh_caches)
 
 
 def diag_quadratic(weights_roots):
@@ -344,3 +347,189 @@ def test_vectorized_step_matches_per_component_oracle(kind, mode):
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
     assert prob.norm_w(res.x - x) <= 1e-10 * max(1.0, prob.norm_w(x))
+
+
+# -- the run loop that gathers once per chunk, against the per-draw oracle ----
+
+def mixed_operator_problem(block_size):
+    """Residual, logistic and dual rows in one operator from from_entries.
+
+    35 coordinates, each with its own residual row, then six logistic
+    samples and two three-row dual components on random coordinates, a
+    linear term on the coordinates those rows read, l1 weights and a box.
+    """
+    rng = np.random.default_rng(31)
+    n = 35
+    rows, cols, vals = list(range(n)), list(range(n)), list(rng.uniform(0.5, 1.5, n))
+    family, scale, comp = [RESIDUAL] * n, [1.0] * n, list(range(n))
+    param = list(rng.normal(size=n))
+    for kind, height in [(LOGISTIC, 1)] * 6 + [(DUAL, 3)] * 2:
+        c = comp[-1] + 1
+        sigma = float(rng.uniform(0.5, 2.0))
+        for _ in range(height):
+            r = len(family)
+            for j in np.sort(rng.choice(n, 3, replace=False)):
+                rows.append(r)
+                cols.append(int(j))
+                vals.append(float(rng.normal()))
+            family.append(kind)
+            param.append(float(rng.choice([-1.0, 1.0])) if kind == LOGISTIC
+                         else float(rng.normal()))
+            scale.append(6.0 if kind == LOGISTIC else sigma)
+            comp.append(c)
+    lin = np.where(np.isin(np.arange(n), cols[n:]), rng.normal(size=n), 0.0)
+    op = SmoothOperator.from_entries(n, rows, cols, vals, family, param, scale,
+                                     comp, lin)
+    assert set(op.codes) == {RESIDUAL, LOGISTIC, DUAL}
+    return CompositeProblem(BlockPartition.uniform(n, block_size), op, 0.05,
+                            -2.0, 2.0)
+
+
+def chunk_instance(kind, block_size):
+    """35 coordinates (a short trailing block at size 3), or the 12-part dual."""
+    if kind == "lasso":
+        return generate_lasso(m=40, n=35, sparsity=0.15, lam=0.3, box=(-1.0, 1.0),
+                              seed=21, block_size=block_size).problem
+    if kind == "logistic":
+        return generate_logistic(num_samples=36, n=35, sparsity=0.2, lam=0.02,
+                                 seed=22, block_size=block_size).problem
+    if kind == "dual":
+        return generate_dual(num_parts=12, seed=23, block_size=block_size).problem
+    return mixed_operator_problem(block_size)
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def assert_same_run(got, want):
+    """Bitwise equal x, z, F and trace columns (all but elapsed), same counts."""
+    assert np.array_equal(bits(got.x), bits(want.x))
+    assert np.array_equal(bits(got.state.z), bits(want.state.z))
+    assert bits(got.state.f_value) == bits(want.state.f_value)
+    assert bits(got.objective) == bits(want.objective)
+    assert got.trace.ks == want.trace.ks
+    assert np.array_equal(bits(got.trace.objectives), bits(want.trace.objectives))
+    assert np.array_equal(bits(got.trace.mapping_norms),
+                          bits(want.trace.mapping_norms))
+    assert got.trace.batch_sizes == want.trace.batch_sizes
+    assert (got.iterations, got.coordinate_updates, got.status, got.converged) \
+        == (want.iterations, want.coordinate_updates, want.status, want.converged)
+
+
+CHUNK_MODES = [("rcd", "uniform-subset"), ("rcd", "shuffle-partition"),
+               ("rcd-coordwise", "uniform-subset"),
+               ("rcd-coordwise", "shuffle-partition"), ("full", None)]
+
+
+@pytest.mark.parametrize("kind", ["lasso", "logistic", "dual", "mixed"])
+@pytest.mark.parametrize("block_size", [1, 3])
+@pytest.mark.parametrize("mode,scheme", CHUNK_MODES)
+def test_run_equals_per_draw_steps_bitwise(kind, block_size, mode, scheme):
+    prob = chunk_instance(kind, block_size)
+    tau = 5 if prob.num_blocks % 5 == 0 else 4
+    sampler = None if mode == "full" else SamplerConfig(tau, scheme, seed=3)
+    cfg = SolverConfig(mode=mode, sampler=sampler, max_iters=120, trace_stride=2,
+                       trace_mapping_norm=True)
+    x0 = np.random.default_rng(4).uniform(-0.5, 0.5, prob.n)
+    assert_same_run(run(prob, cfg, x0), per_draw_run(prob, cfg, x0))
+
+
+def test_run_equals_per_draw_steps_across_cache_refresh():
+    prob = chunk_instance("logistic", 3)
+    cfg = SolverConfig(mode="rcd", sampler=SamplerConfig(4, seed=8),
+                       max_iters=RECOMPUTE_STRIDE + 7, trace_stride=50)
+    assert_same_run(run(prob, cfg, np.zeros(prob.n)),
+                    per_draw_run(prob, cfg, np.zeros(prob.n)))
+
+
+@pytest.mark.parametrize("scheme", ["uniform-subset", "shuffle-partition"])
+def test_gap_stop_mid_chunk_equals_per_draw_steps(scheme):
+    prob = chunk_instance("lasso", 1)          # 35 blocks: 7 draws per chunk
+    _, fstar, ok = reference_solution(prob)
+    assert ok
+    gap0 = prob.objective(np.zeros(prob.n)) - fstar
+    cfg = SolverConfig(mode="rcd", sampler=SamplerConfig(5, scheme, seed=3),
+                       max_iters=100000, eps_gap=1e-3 * gap0, fstar=fstar)
+    got = run(prob, cfg, np.zeros(prob.n))
+    assert got.status == "converged:gap" and got.iterations % 7 != 0
+    assert_same_run(got, per_draw_run(prob, cfg, np.zeros(prob.n)))
+
+
+def test_public_step_equals_per_draw_step_bitwise():
+    prob = chunk_instance("mixed", 3)
+    rng = np.random.default_rng(6)
+    weights = coordwise_weights(prob, 4)
+    x0 = rng.uniform(-0.5, 0.5, prob.n)
+    a, b = init_solver_state(prob, x0), init_solver_state(prob, x0)
+    for k in range(40):
+        idx = rng.choice(prob.num_blocks, 4, replace=False)   # unsorted too
+        w = None if k % 2 else weights
+        step(prob, a, idx, weights=w, enforce_descent=False)
+        per_draw_step(prob, b, idx, weights=w, enforce_descent=False)
+        assert np.array_equal(bits(a.x), bits(b.x))
+        assert np.array_equal(bits(a.z), bits(b.z))
+        assert bits(a.f_value) == bits(b.f_value)
+
+
+@pytest.mark.parametrize("mode,scheme,tau,iters,gathers", [
+    ("full", None, None, 23, 1),
+    # 12 blocks at batch 3: four cells per epoch, one gather per epoch
+    ("rcd", "shuffle-partition", 3, 10, 3),
+    ("rcd", "shuffle-partition", 3, 12, 3),
+    ("rcd-coordwise", "shuffle-partition", 6, 9, 5),
+    # 12 blocks at batch 5: chunks of ceil(12 / 5) = 3 draws
+    ("rcd", "uniform-subset", 5, 10, 4),
+    ("rcd", "uniform-subset", 5, 9, 3),
+    ("rcd-coordwise", "uniform-subset", 1, 30, 3),
+])
+def test_run_gathers_once_per_chunk(monkeypatch, mode, scheme, tau, iters, gathers):
+    prob = chunk_instance("dual", 1)
+    calls = []
+    columns = SmoothOperator.columns
+
+    def counted(self, cols):
+        calls.append(cols.size)
+        return columns(self, cols)
+
+    monkeypatch.setattr(SmoothOperator, "columns", counted)
+    sampler = None if mode == "full" else SamplerConfig(tau, scheme, seed=2)
+    run(prob, SolverConfig(mode=mode, sampler=sampler, max_iters=iters,
+                           trace_mapping_norm=True, eps_mapping=0.0, check_stride=1),
+        np.zeros(prob.n))
+    assert len(calls) == gathers
+
+
+# -- the descent guard ---------------------------------------------------------
+
+DESCENT_MESSAGE = r"^objective rose from .+ to .+ in a descent-guaranteed mode$"
+
+
+def underweighted_lasso():
+    """A lasso whose step weights are a tenth of the aggregated weights."""
+    prob = random_sparse_lasso(np.random.default_rng(14))
+    return CompositeProblem(prob.partition, prob.smooth, prob.lam, prob.lb,
+                            prob.ub, weights=0.1 * prob.weights)
+
+
+def test_descent_guard_fires_in_rcd_run():
+    prob = underweighted_lasso()
+    x0 = np.random.default_rng(15).normal(size=prob.n)
+    cfg = SolverConfig(mode="rcd", sampler=SamplerConfig(3, seed=1), max_iters=50)
+    with pytest.raises(DescentViolationError, match=DESCENT_MESSAGE):
+        run(prob, cfg, x0)
+
+
+def test_descent_guard_fires_in_public_step():
+    prob = underweighted_lasso()
+    state = init_solver_state(prob, np.random.default_rng(15).normal(size=prob.n))
+    with pytest.raises(DescentViolationError, match=DESCENT_MESSAGE):
+        step(prob, state, np.arange(prob.num_blocks))
+
+
+def test_descent_guard_is_off_in_coordwise_mode():
+    prob = underweighted_lasso()
+    x0 = np.random.default_rng(15).normal(size=prob.n)
+    cfg = SolverConfig(mode="rcd-coordwise", sampler=SamplerConfig(3, seed=1),
+                       max_iters=50)
+    assert run(prob, cfg, x0).iterations == 50
