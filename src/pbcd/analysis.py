@@ -19,6 +19,7 @@ strongly convex smooth parts satisfy it with eb_const = 2 / strong_convexity
 and eb_quad = 0.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -277,31 +278,41 @@ def fit_error_bound_constants(problem, minimizer, points, zero_tol=1e-12):
     minimizer : array or callable
         The unique minimizer (strongly convex case) or a callable returning
         the weighted-norm projection of a point onto the optimal set.
-    points : iterable of vectors
+    points : iterable of vectors, read once and lazily (a generator works)
 
-    The coefficients solve the two-variable LP exactly in O(k log k) for
-    k points.
+    Cost and memory for k points: points are read problem.chunk_rows at a
+    time, and each chunk's residual mapping norms come from one stacked
+    problem.mapping_norms pass, so ceil(k / chunk_rows) gradient
+    evaluations in all, plus one projection and one weighted norm per point
+    for its distance.  The coefficients then solve the two-variable LP
+    exactly in O(k log k).  Memory is one chunk of points and its pass's
+    temporaries, O(CHUNK_ELEMENTS) (see pbcd.problem), plus O(k) for the
+    distances and norms; the points are never held all at once.
 
     Raises ErrorBoundWitnessError when a sample has zero residual mapping
     but positive distance to the optimal set (no error bound can hold).
     """
     project = minimizer if callable(minimizer) \
         else (lambda _x, m=np.asarray(minimizer, dtype=float): m)
-    dists, gnorms, witnesses = [], [], []
-    for idx, x in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        _, gnorm = problem.prox_grad_mapping(x)
-        d = problem.norm_w(x - project(x))
-        if gnorm <= zero_tol * (1.0 + d) and d > 1e-9:
-            witnesses.append((idx, d, gnorm))
-        dists.append(d)
-        gnorms.append(gnorm)
+    n = problem.n
+    points = iter(points)
+    dists, gnorms = [], []
+    while chunk := [np.asarray(x, dtype=float)
+                    for x in itertools.islice(points, problem.chunk_rows)]:
+        for x in chunk:
+            if x.shape != (n,) or not np.all(np.isfinite(x)):
+                raise InputError(f"sample point {len(dists)} is not a finite "
+                                 f"vector of length {n}")
+            dists.append(problem.norm_w(x - project(x)))
+        gnorms.extend(problem.mapping_norms(np.array(chunk)).tolist())
+    d = np.asarray(dists)
+    g = np.asarray(gnorms)
+    witnesses = [(int(i), float(d[i]), float(g[i])) for i in
+                 np.flatnonzero((g <= zero_tol * (1.0 + d)) & (d > 1e-9))]
     if witnesses:
         raise ErrorBoundWitnessError(
             f"{len(witnesses)} sample(s) have zero residual mapping but "
             "positive distance to the optimal set", witnesses=witnesses)
-    d = np.asarray(dists)
-    g = np.asarray(gnorms)
     keep = g > 0.0
     const_c, quad_c = _min_sum_two_var_lp(g[keep], d[keep] ** 2 * g[keep], d[keep])
     violation = d - (const_c + quad_c * d ** 2) * g

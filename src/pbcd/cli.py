@@ -175,14 +175,16 @@ def cmd_gebp_fit(args):
     base = reference_and_start(problem, cfg)
     _warn_if_unconverged(base.converged)
     rng = np.random.Generator(np.random.Philox(args.sample_seed))
-    points = []
-    for _ in range(args.samples):
-        raw = rng.normal(size=problem.n)
-        scale = float(rng.uniform(_MIN_SAMPLE_RADIUS, args.sample_radius))
-        points.append(problem.project_domain(
-            base.xstar + raw * (scale / problem.norm_w(raw))))
-    fit = fit_error_bound_constants(problem, base.xstar, points)
-    print(f"samples: {len(points)}  (weighted radius <= {args.sample_radius})")
+
+    def points():
+        for _ in range(args.samples):
+            raw = rng.normal(size=problem.n)
+            scale = float(rng.uniform(_MIN_SAMPLE_RADIUS, args.sample_radius))
+            yield problem.project_domain(
+                base.xstar + raw * (scale / problem.norm_w(raw)))
+
+    fit = fit_error_bound_constants(problem, base.xstar, points())
+    print(f"samples: {args.samples}  (weighted radius <= {args.sample_radius})")
     print(f"fitted error-bound coefficients: const={fit.const_coeff!r} "
           f"quad={fit.quad_coeff!r}")
     print(f"max violation: {fit.max_violation!r}")

@@ -3,9 +3,11 @@
 A run builds one problem, computes a reference optimal value with a
 deterministic accelerated proximal-gradient method (FISTA with adaptive
 restart) at tight tolerance, then solves the problem once per (mode, batch
-size, seed) cell.  Outputs are plain CSV: one trace file per cell, one
-theoretical bound curve file per batch size, and a summary table pairing the
-two stepsize rules' normalized coordinate-update counts.
+size, seed) cell; the deterministic full-pass mode draws no blocks, so it
+is solved once and its result reported under every (batch size, seed) pair.
+Outputs are plain CSV: one trace file per cell, one theoretical bound curve
+file per batch size, and a summary table pairing the two stepsize rules'
+normalized coordinate-update counts.
 
 All numeric CSV fields are written with shortest round-trip formatting, so
 repeated runs with the same configuration produce identical data columns;
@@ -14,7 +16,7 @@ the wall-time column is the one nondeterministic field.
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin
 
 import numpy as np
@@ -254,7 +256,10 @@ def run_experiment(cfg):
         if not 1 <= batch <= problem.num_blocks:
             raise InputError(f"batch size {batch} outside [1, {problem.num_blocks}]")
     base = reference_and_start(problem, cfg)
-    cells = [run_cell(problem, cfg, base, mode, batch, seed)
+    full = run_cell(problem, cfg, base, "full", None, None) \
+        if "full" in cfg.modes else None
+    cells = [replace(full, batch_size=batch, seed=seed) if mode == "full"
+             else run_cell(problem, cfg, base, mode, batch, seed)
              for mode in cfg.modes for batch in cfg.batch_sizes
              for seed in cfg.seeds]
 

@@ -9,7 +9,10 @@ SmoothOperator.from_entries, or from the pbcd.generators builders
 lasso_from_matrix, logistic_from_matrix and dual_from_data) and the three
 arrays go into CompositeProblem, which validates them.  Value, gradient,
 partial gradient and objective each have one implementation here, shared by
-the solver, the reference solve and the diagnostics.
+the solver, the reference solve and the diagnostics.  The gradient and the
+proximal step take one point or a (k, n) stack of points, one point per row,
+through the same expression; mapping_norms evaluates a stack a chunk of
+rows at a time.
 
 The object is immutable after construction and all evaluation methods are
 read-only, so one instance can be shared freely across threads.
@@ -24,10 +27,17 @@ from .blocks import weighted_norm, weighted_norm_inv
 from .errors import InputError, StructureError
 from .smooth import SmoothOperator
 
+# Elements of the largest (rows, m) or (rows, n) array that one stacked
+# evaluation forms: 256 KB of float64, so a chunk's temporaries stay a few
+# hundred KB whatever the number of points.
+CHUNK_ELEMENTS = 1 << 15
 
-def _check_finite(x, n):
+
+def _check_finite(x, n, stacked=False):
+    """x as a float vector of length n, or with `stacked` also as a (k, n)
+    stack of such vectors; NaN and infinite entries are rejected."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
+    if x.shape[-1:] != (n,) or x.ndim > (2 if stacked else 1):
         raise InputError(f"expected a vector of length {n}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("input vector contains NaN or infinite entries")
@@ -128,6 +138,11 @@ class CompositeProblem:
     def coord_weights(self):
         return self.partition.expand(self.weights)
 
+    @property
+    def chunk_rows(self):
+        """Rows of a stack that one evaluation in mapping_norms takes."""
+        return max(1, CHUNK_ELEMENTS // max(self.smooth.matrix.shape[0], self.n))
+
     # -- evaluation ---------------------------------------------------------
 
     def smooth_value(self, x):
@@ -136,10 +151,16 @@ class CompositeProblem:
         return float(np.sum(op.values(op.matrix @ x))) + float(op.lin @ x)
 
     def smooth_gradient(self, x):
-        """Full gradient M' phi'(M x) + lin of the smooth part."""
+        """Full gradient M' phi'(M x) + lin of the smooth part, at one point
+        or at each row of a (k, n) stack.
+
+        Each row's gradient is bitwise the gradient of that row alone: the
+        sparse products accumulate every output entry in the same order for
+        one vector as for a stack, and the rest is elementwise.
+        """
         x = np.asarray(x, dtype=float)
         op = self.smooth
-        return op.transpose @ op.derivs(op.matrix @ x) + op.lin
+        return (op.transpose @ op.derivs((op.matrix @ x.T).T).T).T + op.lin
 
     def gathered_gradient(self, z, rows, vals, local, lin):
         """Gradient entries at a set of coordinates, from the row values z = M x.
@@ -180,8 +201,9 @@ class CompositeProblem:
         return reg.prox(v, self.lam, self.lb, self.ub, self.coord_weights)
 
     def proximal_step(self, x):
-        """Full-dimensional candidate: prox of a weighted gradient step."""
-        x = _check_finite(x, self.n)
+        """Full-dimensional candidate: prox of a weighted gradient step, at
+        one point or at each row of a (k, n) stack."""
+        x = _check_finite(x, self.n, stacked=True)
         return self.prox(x - self.smooth_gradient(x) / self.coord_weights)
 
     def prox_grad_mapping(self, x):
@@ -189,8 +211,28 @@ class CompositeProblem:
 
         Zero exactly at the optima of the composite problem.
         """
-        m = np.asarray(x, dtype=float) - self.proximal_step(x)
+        x = _check_finite(x, self.n)
+        m = x - self.proximal_step(x)
         return m, weighted_norm(m, self.coord_weights)
+
+    def mapping_norms(self, xs):
+        """prox_grad_mapping(x)[1] for each row x of a (k, n) stack, bitwise.
+
+        The stack is taken chunk_rows rows at a time, one gradient and one
+        prox per chunk, so the temporaries stay O(CHUNK_ELEMENTS) however
+        large k is; each norm is weighted_norm of its row.  Each chunk is
+        checked for NaN and infinite entries as it is taken.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise InputError(f"expected a (k, {self.n}) stack, got shape {xs.shape}")
+        rows, cw = self.chunk_rows, self.coord_weights
+        out = np.empty(len(xs))
+        for start in range(0, len(xs), rows):
+            chunk = xs[start:start + rows]
+            maps = chunk - self.proximal_step(chunk)
+            out[start:start + rows] = [weighted_norm(m, cw) for m in maps]
+        return out
 
     def upper_model(self, x, y):
         """Separable quadratic upper model of F around x, evaluated at y."""

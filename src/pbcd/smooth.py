@@ -155,15 +155,17 @@ class SmoothOperator:
         out = np.empty_like(z)
         for code in self.codes:
             sel = fam == code
-            out[sel] = fn(code, z[sel], p[sel], s[sel])
+            out[..., sel] = fn(code, z[..., sel], p[sel], s[sel])
         return out
 
     def values(self, z, rows=None):
-        """phi_r(z) for every row r (or for the listed rows)."""
+        """phi_r(z) for every row r (or for the listed rows); z may also be
+        a stack with the rows on its last axis."""
         return self._by_family(_phi, z, rows)
 
     def derivs(self, z, rows=None):
-        """phi_r'(z) for every row r (or for the listed rows)."""
+        """phi_r'(z) for every row r (or for the listed rows); z may also be
+        a stack with the rows on its last axis."""
         return self._by_family(_dphi, z, rows)
 
     def columns(self, cols):

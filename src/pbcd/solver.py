@@ -14,6 +14,14 @@ one vectorized prox, accumulates the change of z in one pass over the rows,
 and re-evaluates phi only on the rows whose value changed.  Parallelism is
 array-level; a fixed seed reproduces a run bit-for-bit.
 
+The trace's mapping_norm column is filled in stacked passes: each trace row
+copies its iterate into one buffer of CompositeProblem.chunk_rows rows, and
+CompositeProblem.mapping_norms fills the buffered rows' norms when the
+buffer is full and before run returns.  A row's elapsed time therefore
+leaves out its own norm, except that the row which ends a pass carries that
+pass's time.  The eps_mapping stop check takes the norm at its own iterate,
+from the iterate's trace row when it has one.
+
 Modes
 -----
 * "rcd"            sampled blocks, aggregated per-block weights (the rule
@@ -290,14 +298,37 @@ def run(problem, config, x0):
         check_stride = max(1, int(np.ceil(10.0 * num_blocks / batch)))
 
     trace = Trace()
+    # iterates of the trace rows whose mapping norms are not taken yet
+    buf = np.empty((problem.chunk_rows, problem.n)) \
+        if config.trace_mapping_norm else None
+    pending = 0
     start = time.perf_counter()
 
-    def mapping_norm():
-        return problem.prox_grad_mapping(state.x)[1]
+    def flush():
+        """Fill the buffered rows' norms in one stacked pass; the last row's
+        elapsed time then includes the pass."""
+        nonlocal pending
+        norms = problem.mapping_norms(buf[:pending])
+        trace.mapping_norms[-pending:] = norms.tolist()
+        pending = 0
+        trace.elapsed[-1] = time.perf_counter() - start
 
     def record(k, s_size):
-        g = mapping_norm() if config.trace_mapping_norm else np.nan
-        trace.record(k, state.f_value, g, s_size, time.perf_counter() - start)
+        nonlocal pending
+        trace.record(k, state.f_value, np.nan, s_size, time.perf_counter() - start)
+        if buf is not None:
+            buf[pending] = state.x
+            pending += 1
+            if pending == len(buf):
+                flush()
+
+    def mapping_norm():
+        """The current iterate's norm, read from its trace row if it has one."""
+        if buf is None or trace.ks[-1] != state.k:
+            return problem.prox_grad_mapping(state.x)[1]
+        if pending:
+            flush()
+        return trace.mapping_norms[-1]
 
     record(0, 0)
     converged = False
@@ -322,7 +353,10 @@ def run(problem, config, x0):
                 and mapping_norm() <= config.eps_mapping:
             converged, status = True, "converged:mapping-norm"
             break
-    record(state.k, batch if state.k else 0)
+    if state.k > trace.ks[-1]:
+        record(state.k, batch)
+    if pending:
+        flush()
     return SolveResult(x=state.x.copy(), objective=state.f_value, trace=trace,
                        converged=converged, status=status,
                        iterations=state.k,

@@ -25,7 +25,8 @@ from pbcd.smooth import DUAL, RESIDUAL, SmoothOperator
 from pbcd.solver import SolverConfig, run
 
 from oracles import min_sum_two_var_lp, normalized_hessian_min_eig
-from test_problem import corner_problem, mixed_problem
+from test_problem import (corner_problem, mixed_problem, traced_peak,
+                          use_chunk_rows, wide_lasso)
 
 
 def bundle(N, tau, **kw):
@@ -541,6 +542,55 @@ def test_fit_takes_the_per_point_norms_and_solves_the_lp(name, by_point):
 def test_fit_rejects_bad_points(points):
     with pytest.raises(InputError):
         fit_error_bound_constants(corner_problem(), np.zeros(2), points)
+
+
+def test_fit_rejects_bad_points_from_a_generator():
+    points = (x for x in [np.zeros(2), np.ones(2), np.array([1.0, np.inf])])
+    with pytest.raises(InputError, match="sample point 2"):
+        fit_error_bound_constants(corner_problem(), np.zeros(2), points)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_fit_reads_a_generator_as_it_reads_a_list(monkeypatch, rows):
+    prob = family_problems()["logistic-block-3"]
+    use_chunk_rows(monkeypatch, prob, rows)
+    rng = np.random.default_rng(8)
+    center = rng.normal(size=prob.n)
+    points = [center + rng.normal(size=prob.n) * rng.uniform(0.05, 0.9)
+              for _ in range(23)]
+    want = fit_error_bound_constants(prob, center, points)
+    got = fit_error_bound_constants(prob, center, iter(points))
+    assert (got.const_coeff, got.quad_coeff, got.max_violation) \
+        == (want.const_coeff, want.quad_coeff, want.max_violation)
+    assert np.array_equal(got.distances, want.distances)
+    assert np.array_equal(got.residual_norms, want.residual_norms)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", list(family_problems()))
+@pytest.mark.parametrize("by_point", [False, True], ids=["array", "callable"])
+def test_fit_takes_the_per_point_norms_across_small_chunks(monkeypatch, rows, name,
+                                                           by_point):
+    use_chunk_rows(monkeypatch, family_problems()[name], rows)
+    test_fit_takes_the_per_point_norms_and_solves_the_lp(name, by_point)
+
+
+def test_fit_memory_is_one_chunk_for_a_generator():
+    prob = wide_lasso()
+    rows, width = prob.chunk_rows, max(prob.smooth.matrix.shape[0], prob.n)
+    center = np.zeros(prob.n)
+    prob.mapping_norms(center[None, :])          # warm the cached operators
+
+    def points():
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            yield center + rng.normal(size=prob.n)
+
+    fit, peak = traced_peak(fit_error_bound_constants, prob, center, points())
+    assert fit.distances.shape == fit.residual_norms.shape == (50,)
+    # the buffer and a few (rows, width) temporaries; the 50 points would
+    # take 8 MB
+    assert peak <= 10 * rows * width * 8 < 50 * prob.n * 8
 
 
 def test_fit_of_no_points_is_zero():

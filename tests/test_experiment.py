@@ -200,3 +200,37 @@ def test_updates_per_dim_counts_coordinates_at_block_size_3(tmp_path):
         last = handle.read().strip().splitlines()[-1].split(",")
     assert int(last[0]) == cell.iterations
     assert float(last[1]) == cell.iterations * 2 / nb
+
+
+def test_full_cell_runs_once_for_every_batch_and_seed(tmp_path, monkeypatch):
+    from pbcd import experiment
+    cfg = small_config(tmp_path, modes=("full", "rcd"), batch_sizes=(1, 2),
+                       seeds=(0, 1))
+    calls = []
+    solve = experiment.run
+    monkeypatch.setattr(experiment, "run", lambda problem, scfg, x0:
+                        calls.append(scfg.mode) or solve(problem, scfg, x0))
+    result = run_experiment(cfg)
+    assert calls.count("full") == 1 and calls.count("rcd") == 4
+    assert [(c.mode, c.batch_size, c.seed) for c in result.cells] == [
+        (m, b, s) for m in cfg.modes for b in (1, 2) for s in (0, 1)]
+    # each entry's data match a solve of its own (mode, batch, seed) cell
+    problem = result.problem
+    base = experiment.reference_and_start(problem, cfg)
+    os.makedirs(tmp_path / "own")
+    for cell in result.cells[:4]:
+        own = experiment.run_cell(problem, cfg, base, "full", cell.batch_size,
+                                  cell.seed)
+        for name in ("iterations", "coordinate_updates", "converged", "status",
+                     "final_gap"):
+            assert getattr(cell, name) == getattr(own, name)
+        got = experiment.write_trace(cfg.outdir, problem, cell, base.fstar)
+        want = experiment.write_trace(str(tmp_path / "own"), problem, own, base.fstar)
+        assert os.path.basename(got) == os.path.basename(want)
+        with open(got) as a, open(want) as b:
+            # all but the wall-time column
+            assert [line.rsplit(",", 1)[0] for line in a] \
+                == [line.rsplit(",", 1)[0] for line in b]
+    for row in result.summary_rows:
+        assert row["updates_per_dim_full"] == result.cells[0].coordinate_updates \
+            / problem.num_blocks

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pbcd.problem as problem_module
 from pbcd.blocks import BlockPartition
 from pbcd.errors import InputError
 from pbcd.generators import dual_from_data, lasso_from_matrix, logistic_from_matrix
@@ -304,3 +307,98 @@ def test_project_domain():
                             [1.0, np.inf, np.inf])
     got = prob.project_domain(np.array([5.0, -2.0, -7.0]))
     assert np.array_equal(got, [1.0, 0.0, -7.0])
+
+
+# -- the stacked mapping-norm pass ----------------------------------------------
+
+def use_chunk_rows(monkeypatch, prob, rows):
+    """Make one stacked evaluation on prob's shape take `rows` rows; None
+    keeps the default."""
+    if rows is not None:
+        monkeypatch.setattr(problem_module, "CHUNK_ELEMENTS",
+                            rows * max(prob.smooth.matrix.shape[0], prob.n))
+        assert prob.chunk_rows == rows
+
+
+def bitwise(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def stack_cases():
+    """The mixed operator (three row families, blocks of two sizes) and a
+    lasso with a box, each with points stacked as rows."""
+    rng = np.random.default_rng(7)
+    mixed = mixed_problem(rng)[0]
+    boxed = random_lasso(rng, n=9, m=12, block_sizes=[2, 3, 4])
+    boxed = CompositeProblem(boxed.partition, boxed.smooth, boxed.lam, -0.3, 0.4)
+    return [(mixed, rng.normal(size=(11, mixed.n))),
+            (boxed, boxed.project_domain(np.zeros(9)) + 0.3 * rng.normal(size=(11, 9)))]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 11])
+def test_stacked_evaluations_equal_per_point_bitwise(monkeypatch, rows):
+    for prob, xs in stack_cases():
+        use_chunk_rows(monkeypatch, prob, rows)
+        norms = prob.mapping_norms(xs)
+        assert np.array_equal(bitwise(norms),
+                              bitwise([prob.prox_grad_mapping(x)[1] for x in xs]))
+        assert np.array_equal(bitwise(prob.smooth_gradient(xs)),
+                              bitwise([prob.smooth_gradient(x) for x in xs]))
+        assert np.array_equal(bitwise(prob.proximal_step(xs)),
+                              bitwise([prob.proximal_step(x) for x in xs]))
+        assert prob.mapping_norms(xs[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("xs", [np.zeros(5), np.zeros((2, 4)), np.zeros((1, 2, 5)),
+                                np.array([[0.0] * 4 + [np.nan]])],
+                         ids=["vector", "wrong-width", "three-d", "nan"])
+def test_mapping_norms_rejects_bad_stacks(xs):
+    prob = mixed_problem(np.random.default_rng(2))[0]
+    with pytest.raises(InputError):
+        prob.mapping_norms(xs)
+
+
+def test_single_point_paths_reject_stacks():
+    prob = mixed_problem(np.random.default_rng(2))[0]
+    for method in (prob.prox_grad_mapping, prob.objective, prob.project_domain):
+        with pytest.raises(InputError):
+            method(np.zeros((2, prob.n)))
+
+
+def wide_lasso(n=20000, m=30):
+    """A lasso with n >> m: column j holds one entry, in row j mod m."""
+    rng = np.random.default_rng(5)
+    cols = np.arange(n)
+    return lasso_from_matrix(MatrixFile(m, n, cols % m, cols,
+                                        rng.uniform(0.5, 1.5, n)),
+                             rng.normal(size=m), 0.1)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated beyond what existed before."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_mapping_norms_memory_is_one_chunk(monkeypatch, rows):
+    prob = wide_lasso()
+    use_chunk_rows(monkeypatch, prob, rows)
+    rows, width = prob.chunk_rows, max(prob.smooth.matrix.shape[0], prob.n)
+    xs = np.random.default_rng(3).normal(size=(50, prob.n))
+    prob.mapping_norms(xs[:1])                  # warm the cached operators
+    calls = []
+    gradient = CompositeProblem.smooth_gradient
+    monkeypatch.setattr(CompositeProblem, "smooth_gradient",
+                        lambda self, x: calls.append(len(x)) or gradient(self, x))
+    norms, peak = traced_peak(prob.mapping_norms, xs)
+    assert calls == [rows] * (50 // rows) + [50 % rows] * (50 % rows > 0)
+    # a few (rows, width) temporaries, against 8 MB for one (k, n) array
+    assert peak <= 10 * rows * width * 8 < xs.nbytes
+    assert np.array_equal(bitwise(norms),
+                          bitwise([prob.prox_grad_mapping(x)[1] for x in xs]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import per_draw_run, per_draw_step, run_component_oracle
+from test_problem import use_chunk_rows
 
 from pbcd.blocks import BlockPartition
 from pbcd.errors import CacheConsistencyError, DescentViolationError, InputError
@@ -533,3 +534,105 @@ def test_descent_guard_is_off_in_coordwise_mode():
     cfg = SolverConfig(mode="rcd-coordwise", sampler=SamplerConfig(3, seed=1),
                        max_iters=50)
     assert run(prob, cfg, x0).iterations == 50
+
+
+# -- the trace's mapping norms, taken in stacked passes -------------------------
+
+def count_norms(monkeypatch):
+    """Count the mapping norms evaluated: stacked rows and single calls."""
+    counts = {"stacked": 0, "single": 0}
+    stacked, single = CompositeProblem.mapping_norms, CompositeProblem.prox_grad_mapping
+
+    def stacked_counted(self, xs):
+        counts["stacked"] += len(xs)
+        return stacked(self, xs)
+
+    def single_counted(self, x):
+        counts["single"] += 1
+        return single(self, x)
+
+    monkeypatch.setattr(CompositeProblem, "mapping_norms", stacked_counted)
+    monkeypatch.setattr(CompositeProblem, "prox_grad_mapping", single_counted)
+    return counts
+
+
+SMALL_CHUNKS = [1, 3]
+
+
+@pytest.mark.parametrize("rows", SMALL_CHUNKS)
+@pytest.mark.parametrize("kind", ["lasso", "logistic", "dual", "mixed"])
+@pytest.mark.parametrize("block_size", [1, 3])
+@pytest.mark.parametrize("mode,scheme", CHUNK_MODES)
+def test_run_equals_per_draw_steps_flushing_small_chunks(monkeypatch, rows, kind,
+                                                         block_size, mode, scheme):
+    use_chunk_rows(monkeypatch, chunk_instance(kind, block_size), rows)
+    test_run_equals_per_draw_steps_bitwise(kind, block_size, mode, scheme)
+
+
+@pytest.mark.parametrize("rows", [None] + SMALL_CHUNKS)
+@pytest.mark.parametrize("scheme", ["uniform-subset", "shuffle-partition"])
+def test_gap_stop_with_mapping_norms_equals_per_draw_steps(monkeypatch, rows, scheme):
+    prob = chunk_instance("lasso", 1)          # 35 blocks: 7 draws per chunk
+    use_chunk_rows(monkeypatch, prob, rows)
+    _, fstar, ok = reference_solution(prob)
+    assert ok
+    gap0 = prob.objective(np.zeros(prob.n)) - fstar
+    cfg = SolverConfig(mode="rcd", sampler=SamplerConfig(5, scheme, seed=3),
+                       max_iters=100000, eps_gap=1e-3 * gap0, fstar=fstar,
+                       trace_mapping_norm=True)
+    got = run(prob, cfg, np.zeros(prob.n))
+    assert got.status == "converged:gap" and got.iterations % 7 != 0
+    assert_same_run(got, per_draw_run(prob, cfg, np.zeros(prob.n)))
+
+
+@pytest.mark.parametrize("rows", [None] + SMALL_CHUNKS)
+def test_cache_refresh_with_mapping_norms_equals_per_draw_steps(monkeypatch, rows):
+    prob = chunk_instance("logistic", 3)
+    use_chunk_rows(monkeypatch, prob, rows)
+    cfg = SolverConfig(mode="rcd", sampler=SamplerConfig(4, seed=8),
+                       max_iters=RECOMPUTE_STRIDE + 7, trace_stride=50,
+                       trace_mapping_norm=True)
+    assert_same_run(run(prob, cfg, np.zeros(prob.n)),
+                    per_draw_run(prob, cfg, np.zeros(prob.n)))
+
+
+@pytest.mark.parametrize("rows", [None] + SMALL_CHUNKS)
+@pytest.mark.parametrize("trace_stride,mapping_column", [(1, True), (2, True),
+                                                         (2, False)])
+def test_mapping_stop_equals_per_draw_steps(monkeypatch, rows, trace_stride,
+                                            mapping_column):
+    # checks every third iteration: on recorded iterates the check reads the
+    # trace row's norm, elsewhere it evaluates its own
+    prob = chunk_instance("mixed", 1)
+    use_chunk_rows(monkeypatch, prob, rows)
+    eps = 1e-3 * prob.prox_grad_mapping(np.zeros(prob.n))[1]
+    cfg = SolverConfig(mode="rcd", sampler=SamplerConfig(5, seed=4),
+                       max_iters=100000, eps_mapping=eps, check_stride=3,
+                       trace_stride=trace_stride, trace_mapping_norm=mapping_column)
+    got = run(prob, cfg, np.zeros(prob.n))
+    assert got.status == "converged:mapping-norm"
+    assert_same_run(got, per_draw_run(prob, cfg, np.zeros(prob.n)))
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("stop", ["gap", "mapping-norm", "max-iters"])
+@pytest.mark.parametrize("trace_stride", [1, 4])
+def test_each_trace_row_norm_is_evaluated_once(monkeypatch, rows, stop, trace_stride):
+    # at stride 1 the loop records the last iteration, so the final record
+    # adds no row; a mapping check on a recorded iterate reads that row
+    prob = chunk_instance("lasso", 1)
+    use_chunk_rows(monkeypatch, prob, rows)
+    _, fstar, _ = reference_solution(prob)
+    gap0 = prob.objective(np.zeros(prob.n)) - fstar
+    stop_rule = {"gap": dict(eps_gap=1e-3 * gap0, fstar=fstar),
+                 "mapping-norm": dict(eps_mapping=1e-3, check_stride=trace_stride),
+                 "max-iters": {}}[stop]
+    cfg = SolverConfig(mode="rcd", sampler=SamplerConfig(5, seed=3),
+                       max_iters=2000 if stop != "max-iters" else 61,
+                       trace_stride=trace_stride, trace_mapping_norm=True,
+                       **stop_rule)
+    counts = count_norms(monkeypatch)
+    res = run(prob, cfg, np.zeros(prob.n))
+    assert res.status.endswith(stop)
+    assert counts == {"stacked": len(res.trace), "single": 0}
+    assert np.all(np.isfinite(res.trace.mapping_norms))
